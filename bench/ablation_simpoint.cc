@@ -29,7 +29,9 @@ AblationRow
 evaluate(const std::string &label, const SimPointConfig &cfg,
          ArtifactGraph &baseline)
 {
-    PinPointsPipeline pipe(cfg, baseline.cacheHandle());
+    ArtifactGraph swept(
+        ExperimentConfig(baseline.config()).withSimPoint(cfg),
+        baseline.cacheHandle());
     AblationRow row;
     row.label = label;
     double n = 0;
@@ -39,7 +41,7 @@ evaluate(const std::string &label, const SimPointConfig &cfg,
           "503.bwaves_r", "511.povray_r", "519.lbm_r",
           "631.deepsjeng_s", "549.fotonik3d_r"}) {
         const BenchmarkSpec &spec = baseline.spec(name);
-        SimPointResult r = pipe.simpoints(spec);
+        const SimPointResult &r = swept.simpoints(name);
         row.avgPoints += static_cast<double>(r.points.size());
         row.avgPoints90 +=
             static_cast<double>(r.topByWeight(0.9).size());

@@ -34,10 +34,13 @@ runConfig(const BenchmarkSpec &spec, u32 maxK, double sliceM,
     SimPointConfig cfg;
     cfg.maxK = maxK;
     cfg.sliceInstrs = scale::sliceForPaperMillions(sliceM);
-    // Share the graph's cache instance: one writability probe and
-    // one counter stream per process.
-    PinPointsPipeline pipe(cfg, graph.cacheHandle());
-    SimPointResult sp = pipe.simpoints(spec);
+    // Same graph shape at the swept operating point, over the
+    // shared cache: the selection lands under the Merkle key every
+    // other graph at this SimPointConfig uses.
+    ArtifactGraph swept(
+        ExperimentConfig(graph.config()).withSimPoint(cfg),
+        graph.cacheHandle());
+    const SimPointResult &sp = swept.simpoints(spec.name);
     auto points = measurePointsCache(spec, sp, caches, 0);
     ConfigRow row;
     row.label = "MaxK=" + std::to_string(maxK) + ", slice=" +

@@ -26,8 +26,6 @@
 #include "core/pipeline.hh"
 #include "core/runs.hh"
 #include "obs/counters.hh"
-#include "pin/engine.hh"
-#include "pin/tools/bbv_tool.hh"
 #include "simpoint/simpoint.hh"
 #include "support/env.hh"
 #include "support/rng.hh"
@@ -74,18 +72,6 @@ kernelWork(const std::function<void()> &fn)
     u64 c0 = c.value(), p0 = p.value(), f0 = f.value();
     fn();
     return {c.value() - c0, p.value() - p0, f.value() - f0};
-}
-
-/** BBV profile of one benchmark (no address generation). */
-std::vector<FrequencyVector>
-profileBbvs(const BenchmarkSpec &spec, ICount sliceInstrs)
-{
-    SyntheticWorkload wl(spec);
-    BbvTool bbv(sliceInstrs);
-    Engine e;
-    e.attach(&bbv);
-    e.runWhole(wl);
-    return bbv.vectors();
 }
 
 std::vector<u8>

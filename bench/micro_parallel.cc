@@ -90,8 +90,7 @@ main(int, char **argv)
     cfg.maxK = 20;
     cfg.restarts = 3;
 
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    auto bbvs = pipe.profileBbvs(spec);
+    auto bbvs = profileBbvs(spec, cfg.sliceInstrs);
 
     std::vector<StageResult> results;
 

@@ -16,11 +16,10 @@
 
 #include <cstdio>
 
-#include "core/pipeline.hh"
+#include "core/artifact_graph.hh"
 #include "core/scale.hh"
 #include "core/runs.hh"
 #include "support/table.hh"
-#include "workload/suite.hh"
 
 using namespace splab;
 
@@ -64,10 +63,9 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "505.mcf_r";
-    BenchmarkSpec spec = benchmarkByName(name);
-
-    PinPointsPipeline pipe;
-    SimPointResult sp = pipe.simpoints(spec);
+    ArtifactGraph graph(ExperimentConfig::paperDefaults());
+    const BenchmarkSpec &spec = graph.spec(name);
+    const SimPointResult &sp = graph.simpoints(name);
     std::printf("%s: %zu simulation points\n\n", name.c_str(),
                 sp.points.size());
 

@@ -72,8 +72,9 @@ main(int argc, char **argv)
     SyntheticWorkload workload(spec);
     Pinball whole = Logger::captureWhole(workload, /*verify=*/true);
 
-    PinPointsPipeline pipeline;
-    SimPointResult points = pipeline.simpoints(spec);
+    SimPointConfig cfg;
+    SimPointResult points =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
     Pinball regional = Logger::makeRegional(whole, points);
 
     std::string wholePath = dir + "/toy-encoder.whole.pinball";

@@ -14,12 +14,11 @@
 #include <cstdlib>
 #include <vector>
 
-#include "core/pipeline.hh"
+#include "core/artifact_graph.hh"
 #include "core/runs.hh"
 #include "core/scale.hh"
 #include "support/stats_util.hh"
 #include "support/table.hh"
-#include "workload/suite.hh"
 
 using namespace splab;
 
@@ -53,7 +52,8 @@ main(int argc, char **argv)
     if (maxKs.empty())
         maxKs = {10, 15, 25, 35};
 
-    BenchmarkSpec spec = benchmarkByName(name);
+    ArtifactGraph graph(ExperimentConfig::paperDefaults());
+    const BenchmarkSpec &spec = graph.spec(name);
     HierarchyConfig caches =
         scaleFarCaches(tableIConfig(), scale::kFarCacheDivisor);
     std::printf("exploring %s: %zu phases, %llu slices\n\n",
@@ -64,6 +64,16 @@ main(int argc, char **argv)
     CacheRunMetrics wholeRaw = measureWholeCache(spec, caches);
     AggregateCacheMetrics whole = wholeAsAggregate(wholeRaw);
 
+    // Every swept selection comes from a graph at that operating
+    // point over the shared cache, so it is stored under the same
+    // key any other experiment at that SimPointConfig uses.
+    auto simpointsAt = [&](const SimPointConfig &cfg) {
+        return ArtifactGraph(
+                   ExperimentConfig(graph.config()).withSimPoint(cfg),
+                   graph.cacheHandle())
+            .simpoints(name);
+    };
+
     TableWriter t("sampling error vs full run - " + name);
     t.header({"Config", "NO_MEM", "MEM_R", "L1D miss", "L3 miss",
               "mix err", "L3 rel err"});
@@ -73,8 +83,7 @@ main(int argc, char **argv)
     for (u32 maxK : maxKs) {
         SimPointConfig cfg;
         cfg.maxK = maxK;
-        PinPointsPipeline pipe(cfg);
-        SimPointResult sp = pipe.simpoints(spec);
+        SimPointResult sp = simpointsAt(cfg);
         auto agg = aggregateCache(
             measurePointsCache(spec, sp, caches, 0));
         reportRow(t,
@@ -86,8 +95,7 @@ main(int argc, char **argv)
     for (double sliceM : {15.0, 30.0, 100.0}) {
         SimPointConfig cfg;
         cfg.sliceInstrs = scale::sliceForPaperMillions(sliceM);
-        PinPointsPipeline pipe(cfg);
-        SimPointResult sp = pipe.simpoints(spec);
+        SimPointResult sp = simpointsAt(cfg);
         auto agg = aggregateCache(
             measurePointsCache(spec, sp, caches, 0));
         reportRow(t,

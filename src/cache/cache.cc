@@ -67,6 +67,12 @@ log2u(u64 v)
 
 } // namespace
 
+bool
+CacheParams::validGeometry() const
+{
+    return ways >= 1 && isPow2(lineBytes) && isPow2(numSets());
+}
+
 SetAssocCache::SetAssocCache(const CacheParams &params)
     : cacheParams(params), ways(params.ways), lastLine(kNoLine)
 {

@@ -40,6 +40,10 @@ struct CacheParams
 
     u64 numSets() const { return sizeBytes / (static_cast<u64>(ways) * lineBytes); }
 
+    /** Whether SetAssocCache accepts this geometry: ways >= 1 and a
+     *  power-of-two line size and set count. */
+    bool validGeometry() const;
+
     /**
      * Stable hash of *every* configuration field (geometry and
      * replacement policy alike).  Artifact-cache keys must use this

@@ -9,11 +9,13 @@
 #include "obs/counters.hh"
 #include "obs/trace.hh"
 #include "pinball/logger.hh"
+#include "pipeline.hh"
 #include "sampling/strategies.hh"
-#include "support/env.hh"
+#include "simpoint/projection.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
+#include "timing/branch_predictor.hh"
 #include "workload/synthetic.hh"
 
 namespace splab
@@ -81,8 +83,7 @@ kindInfo(ArtifactKind k)
         // persisting it costs one small ref blob — no double-stored
         // metric bytes — and a warm bench run skips the fused
         // traversal entirely.  Salt bumped (..01 -> ..02) when the
-        // node became persisted/shared.  SPLAB_FUSED_PERSIST=0
-        // restores the memory-resident behaviour.
+        // node became persisted/shared.
         {"wholefused", "graph.whole_fused", 0x7766757300000002ULL,
          true, true, {ArtifactKind::Spec}},
         // Salts bumped (..01 -> ..02) with the fused-traversal
@@ -411,6 +412,33 @@ rdCacheParams(ByteReader &r, CacheParams &p)
     return true;
 }
 
+/**
+ * Whether every field the compute path guards with SPLAB_ASSERT is
+ * in range.  A config from the wire that fails this would abort the
+ * process serving it (every client of a splabd daemon), so
+ * deserialize() rejects it instead.
+ */
+bool
+computable(const ExperimentConfig &c)
+{
+    const SimPointConfig &sp = c.simpoint;
+    if (sp.maxK < 1 || sp.sliceInstrs == 0 ||
+        sp.sliceInstrs % scale::kChunkInstrs != 0 ||
+        sp.projectionDim < 1 || sp.projectionDim > kMaxProjectionDims ||
+        sp.restarts < 1)
+        return false;
+    if (c.sampling.random.n < 1 || c.sampling.stride.n < 1)
+        return false;
+    if (c.machine.predictorHistoryBits < kMinHistoryBits ||
+        c.machine.predictorHistoryBits > kMaxHistoryBits)
+        return false;
+    for (const HierarchyConfig *h : {&c.allcache, &c.machine.caches})
+        for (const CacheParams *p : {&h->l1i, &h->l1d, &h->l2, &h->l3})
+            if (!p->validGeometry())
+                return false;
+    return true;
+}
+
 } // namespace
 
 void
@@ -544,7 +572,7 @@ ExperimentConfig::deserialize(ByteReader &r, ExperimentConfig &out)
         !rdGet(r, out.cost.loggerSlowdown) ||
         !rdGet(r, out.cost.nativeRate))
         return false;
-    return r.atEnd();
+    return r.atEnd() && computable(out);
 }
 
 /** Single-flight state of one (benchmark, kind) node. */
@@ -578,8 +606,7 @@ ArtifactGraph::ArtifactGraph(
     ExperimentConfig cfg, std::shared_ptr<const ArtifactCache> cache,
     std::unique_ptr<ArtifactBackend> backend)
     : cfg(std::move(cfg)), cache(std::move(cache)),
-      backend(std::move(backend)),
-      pipe(this->cfg.simpoint, this->cache)
+      backend(std::move(backend))
 {
     SPLAB_ASSERT(this->cache != nullptr,
                  "artifact graph needs a cache instance (may be "
@@ -664,7 +691,7 @@ ArtifactGraph::computeValue(const std::string &name,
       case ArtifactKind::Spec:
         return benchmarkByName(name);
       case ArtifactKind::BbvProfile:
-        return pipe.profileBbvs(spec(name));
+        return profileBbvs(spec(name), cfg.simpoint.sliceInstrs);
       case ArtifactKind::SimPoints:
         SPLAB_VERBOSE("simpoint selection: ", name);
         return SimpointStrategy(cfg.simpoint).pick(bbvProfile(name));
@@ -752,11 +779,6 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
     ArtifactValue v;
     try {
         obs::TraceSpan span(info.spanName);
-        // SPLAB_FUSED_PERSIST=0 keeps the fused node memory-resident
-        // (pre-sharing behaviour); the projections persist either way.
-        bool persist = info.persisted &&
-                       (kind != ArtifactKind::WholeFused ||
-                        fusedPersistEnabled());
         bool loaded = false;
         ArtifactRequest req{name, kind, blobFamily(kind, cfg), 0,
                             info.shared};
@@ -766,7 +788,7 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
         // with local fallback.  Either way fetch yields exactly the
         // serializeArtifact payload, so the value round-trips
         // identically.
-        if (persist && backend->active()) {
+        if (info.persisted && backend->active()) {
             req.key = artifactKey(name, kind);
             std::vector<u8> bytes;
             if (backend->fetch(req, bytes)) {
@@ -779,7 +801,7 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
         if (!loaded) {
             v = computeValue(name, kind);
             computed.add();
-            if (persist && backend->active()) {
+            if (info.persisted && backend->active()) {
                 ByteWriter w;
                 serializeArtifact(w, v);
                 backend->publish(

@@ -53,8 +53,7 @@
  * no metric byte is stored twice).  A warm run therefore serves
  * WholeFused from disk and skips the fused traversal entirely; a
  * missing or corrupt sub-blob degrades to recompute-and-heal, never
- * a crash.  SPLAB_FUSED_PERSIST=0 keeps the fused node
- * memory-resident.  See DESIGN.md section 10.
+ * a crash.  See DESIGN.md section 10.
  *
  * Scheduling: accessors compute lazily with single-flight per node
  * (concurrent requests for the same node block until the one
@@ -80,9 +79,9 @@
 #include <variant>
 #include <vector>
 
+#include "artifact_cache.hh"
 #include "costmodel.hh"
 #include "obs/manifest.hh"
-#include "pipeline.hh"
 #include "runs.hh"
 #include "sampling/strategy.hh"
 #include "scale.hh"
@@ -223,8 +222,9 @@ struct ExperimentConfig
      * Field-wise wire serialization (leading format version), so a
      * service client can ship its exact experiment configuration to
      * the daemon.  deserialize() is defensive — bounds-checked,
-     * false on truncation or a version mismatch, never fatal — as
-     * the bytes arrive over a socket.
+     * false on truncation, a version mismatch or any field value the
+     * compute path would assert on, never fatal — as the bytes
+     * arrive over a socket.
      */
     void serialize(ByteWriter &w) const;
     static bool deserialize(ByteReader &r, ExperimentConfig &out);
@@ -302,7 +302,13 @@ class ArtifactGraph
   public:
     explicit ArtifactGraph(ExperimentConfig cfg = ExperimentConfig());
 
-    /** Share an externally owned cache (see PinPointsPipeline). */
+    /**
+     * Share an externally owned cache.  Graphs at different
+     * configurations built over one cacheHandle() have one
+     * writability probe, one warn-once state and one counter stream
+     * per process, and nodes whose keys coincide (e.g. the same
+     * SimPoint selection) resolve to the same cached artifact.
+     */
     ArtifactGraph(ExperimentConfig cfg,
                   std::shared_ptr<const ArtifactCache> cache);
 
@@ -319,11 +325,10 @@ class ArtifactGraph
     ~ArtifactGraph(); // out-of-line: Node is incomplete here
 
     const ExperimentConfig &config() const { return cfg; }
-    const PinPointsPipeline &pipeline() const { return pipe; }
     const ArtifactCache &artifactCache() const { return *cache; }
 
-    /** Shared handle for wiring ad-hoc pipelines to this graph's
-     *  cache instance instead of constructing parallel ones. */
+    /** Shared handle for building graphs at other configurations
+     *  over this graph's cache instance instead of parallel ones. */
     std::shared_ptr<const ArtifactCache> cacheHandle() const
     {
         return cache;
@@ -427,7 +432,6 @@ class ArtifactGraph
     ExperimentConfig cfg;
     std::shared_ptr<const ArtifactCache> cache;
     std::unique_ptr<ArtifactBackend> backend; ///< never null
-    PinPointsPipeline pipe;
 
     std::mutex registryMtx; ///< guards the node map only
     std::map<std::pair<std::string, u8>, std::unique_ptr<Node>>

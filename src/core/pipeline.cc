@@ -3,9 +3,6 @@
 #include "obs/trace.hh"
 #include "pin/engine.hh"
 #include "pin/tools/bbv_tool.hh"
-#include "pinball/logger.hh"
-#include "sampling/strategies.hh"
-#include "support/logging.hh"
 #include "workload/synthetic.hh"
 
 namespace splab
@@ -67,84 +64,16 @@ deserializeSimPoints(ByteReader &r)
     return res;
 }
 
-PinPointsPipeline::PinPointsPipeline(SimPointConfig cfg,
-                                     ArtifactCache cache)
-    : cfg(cfg),
-      cache(std::make_shared<const ArtifactCache>(std::move(cache)))
-{
-}
-
-PinPointsPipeline::PinPointsPipeline(
-    SimPointConfig cfg, std::shared_ptr<const ArtifactCache> cache)
-    : cfg(cfg), cache(std::move(cache))
-{
-    SPLAB_ASSERT(this->cache != nullptr,
-                 "pipeline needs a cache instance (may be disabled, "
-                 "not null)");
-}
-
 std::vector<FrequencyVector>
-PinPointsPipeline::profileBbvs(const BenchmarkSpec &spec) const
+profileBbvs(const BenchmarkSpec &spec, ICount sliceInstrs)
 {
     obs::TraceSpan span("pipeline.profile_bbvs");
     SyntheticWorkload wl(spec);
-    BbvTool bbv(cfg.sliceInstrs);
+    BbvTool bbv(sliceInstrs);
     Engine engine;
     engine.attach(&bbv);
     engine.runWhole(wl);
     return bbv.vectors();
-}
-
-SimPointResult
-PinPointsPipeline::computeOrLoad(const BenchmarkSpec &spec,
-                                 u32 forcedK) const
-{
-    u64 key = hashCombine(
-        hashCombine(spec.contentHash(), cfg.contentHash()), forcedK);
-    CacheOutcome cached = cache->load("simpoints", key);
-    if (cached.hit())
-        return deserializeSimPoints(*cached);
-
-    SPLAB_VERBOSE("profiling + clustering ", spec.name,
-                  forcedK ? " (forced k)" : "");
-    auto bbvs = profileBbvs(spec);
-    SimpointStrategy strat(cfg);
-    SimPointResult res = forcedK == 0 ? strat.pick(bbvs)
-                                      : strat.pickForcedK(bbvs, forcedK);
-
-    ByteWriter w;
-    serializeSimPoints(w, res);
-    cache->store("simpoints", key, w);
-    return res;
-}
-
-SimPointResult
-PinPointsPipeline::simpoints(const BenchmarkSpec &spec) const
-{
-    return computeOrLoad(spec, 0);
-}
-
-SimPointResult
-PinPointsPipeline::simpointsForcedK(const BenchmarkSpec &spec,
-                                    u32 k) const
-{
-    SPLAB_ASSERT(k >= 1, "forced k must be >= 1");
-    return computeOrLoad(spec, k);
-}
-
-Pinball
-PinPointsPipeline::makeWholePinball(const BenchmarkSpec &spec) const
-{
-    SyntheticWorkload wl(spec);
-    return Logger::captureWhole(wl);
-}
-
-Pinball
-PinPointsPipeline::makeRegionalPinball(const BenchmarkSpec &spec) const
-{
-    SyntheticWorkload wl(spec);
-    Pinball whole = Logger::captureWhole(wl);
-    return Logger::makeRegional(whole, simpoints(spec));
 }
 
 } // namespace splab

@@ -1,70 +1,29 @@
 /**
  * @file
- * The PinPoints pipeline: workload -> whole pinball -> BBV profile
- * -> SimPoint selection -> regional pinball.
+ * The profiling step of the PinPoints chain (workload -> BBV
+ * profile) and the SimPointResult wire format.
  *
- * This is the primary public entry point of the library: give it a
- * benchmark specification and a SimPointConfig, get back weighted
- * simulation points and replayable checkpoints.
+ * Selection itself is pickSimPoints(profileBbvs(spec, slice), cfg)
+ * for an ad-hoc spec; suite experiments go through ArtifactGraph
+ * (core/artifact_graph.hh), the only component that caches a
+ * SimPoint selection.
  */
 
 #ifndef SPLAB_CORE_PIPELINE_HH
 #define SPLAB_CORE_PIPELINE_HH
 
-#include <memory>
+#include <vector>
 
-#include "artifact_cache.hh"
-#include "pinball/pinball.hh"
 #include "simpoint/simpoint.hh"
+#include "support/serialize.hh"
 #include "workload/benchmark_spec.hh"
 
 namespace splab
 {
 
-/** Orchestrates profiling and SimPoint selection, with caching. */
-class PinPointsPipeline
-{
-  public:
-    explicit PinPointsPipeline(
-        SimPointConfig cfg = SimPointConfig(),
-        ArtifactCache cache = ArtifactCache::fromEnv());
-
-    /**
-     * Share an existing cache instance instead of owning one.  The
-     * experiment driver (ArtifactGraph) constructs a
-     * single ArtifactCache and hand it to every component, so there
-     * is one writability probe, one warn-once state and one counter
-     * stream per process — never parallel instances drifting apart.
-     */
-    PinPointsPipeline(SimPointConfig cfg,
-                      std::shared_ptr<const ArtifactCache> cache);
-
-    const SimPointConfig &config() const { return cfg; }
-
-    /** Collect one BBV per slice of the whole execution. */
-    std::vector<FrequencyVector>
-    profileBbvs(const BenchmarkSpec &spec) const;
-
-    /** Full SimPoint selection (BIC-chosen k); disk-cached. */
-    SimPointResult simpoints(const BenchmarkSpec &spec) const;
-
-    /** SimPoint selection with a forced cluster count; disk-cached. */
-    SimPointResult simpointsForcedK(const BenchmarkSpec &spec,
-                                    u32 k) const;
-
-    /** Capture the whole execution as a pinball. */
-    Pinball makeWholePinball(const BenchmarkSpec &spec) const;
-
-    /** Whole pinball -> regional pinball of the BIC selection. */
-    Pinball makeRegionalPinball(const BenchmarkSpec &spec) const;
-
-  private:
-    SimPointResult computeOrLoad(const BenchmarkSpec &spec,
-                                 u32 forcedK) const;
-
-    SimPointConfig cfg;
-    std::shared_ptr<const ArtifactCache> cache;
-};
+/** Collect one BBV per @p sliceInstrs slice of the whole execution. */
+std::vector<FrequencyVector> profileBbvs(const BenchmarkSpec &spec,
+                                         ICount sliceInstrs);
 
 /// @name SimPointResult (de)serialization for the artifact cache
 /// @{

@@ -13,13 +13,6 @@ SimpointStrategy::pick(const std::vector<FrequencyVector> &bbvs) const
     return pickSimPoints(bbvs, cfg);
 }
 
-SimPointResult
-SimpointStrategy::pickForcedK(
-    const std::vector<FrequencyVector> &bbvs, u32 k) const
-{
-    return pickSimPointsForcedK(bbvs, cfg, k);
-}
-
 RegionSelection
 SimpointStrategy::select(const StrategyInputs &in) const
 {

@@ -287,6 +287,13 @@ ServiceDaemon::serveEnsure(int fd, const Request &req)
         sendError(fd, err);
         return;
     }
+    // A slice over twice the run length leaves an empty BBV profile,
+    // which clustering and every sampling strategy assert on.
+    if (2 * graph->spec(req.benchmark).totalInstrs() <
+        graph->config().simpoint.sliceInstrs) {
+        sendError(fd, "slice longer than the run of " + req.benchmark);
+        return;
+    }
     // ensure() runs here on the handler thread; identical concurrent
     // requests from other connections coalesce on the node's
     // single-flight, and the compute fans onto the shared pool.

@@ -10,7 +10,7 @@ namespace splab
 RandomProjection::RandomProjection(u32 dims, u64 seed)
     : numDims(dims), seed(seed)
 {
-    SPLAB_ASSERT(dims >= 1 && dims <= 256,
+    SPLAB_ASSERT(dims >= 1 && dims <= kMaxProjectionDims,
                  "projection dims out of range: ", dims);
 }
 

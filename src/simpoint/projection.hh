@@ -22,6 +22,9 @@
 namespace splab
 {
 
+/** Largest accepted projection dimensionality. */
+constexpr u32 kMaxProjectionDims = 256;
+
 /** Projects sparse BBVs into a dense D-dimensional space. */
 class RandomProjection
 {

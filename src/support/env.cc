@@ -83,12 +83,6 @@ servicePath()
 }
 
 bool
-fusedPersistEnabled()
-{
-    return envLong("SPLAB_FUSED_PERSIST", 1) != 0;
-}
-
-bool
 kmeansAccelEnabled()
 {
     return envLong("SPLAB_KMEANS_ACCEL", 1) != 0;

@@ -21,11 +21,6 @@
  *  - SPLAB_MANIFEST: 0 = suppress the "<binary>.manifest.json" run
  *                    manifest benches write by default (see
  *                    obs/manifest.hh).
- *  - SPLAB_FUSED_PERSIST: 0 = keep the fused whole-run artifact
- *                    memory-resident instead of persisting it to the
- *                    artifact cache as shared sub-blobs (see
- *                    core/artifact_graph.hh).  Default on; the
- *                    projection artifacts persist either way.
  *  - SPLAB_KMEANS_ACCEL: 0 = force brute-force nearest-centroid
  *                    scans in the clustering stack (see
  *                    simpoint/kmeans.hh).  Default on: Lloyd
@@ -86,10 +81,6 @@ u64 cacheMaxBytes();
  *  no daemon, local-only artifact resolution.  Re-read per call so
  *  tests can point individual graphs at scratch daemons. */
 std::string servicePath();
-
-/** Whether the fused whole-run artifact is persisted to the disk
- *  cache (SPLAB_FUSED_PERSIST; default on). */
-bool fusedPersistEnabled();
 
 /** Whether the triangle-inequality-pruned clustering kernels may be
  *  used (SPLAB_KMEANS_ACCEL; default on).  Re-read per fit so tests

@@ -7,7 +7,8 @@ namespace splab
 
 GsharePredictor::GsharePredictor(u32 historyBits)
 {
-    SPLAB_ASSERT(historyBits >= 4 && historyBits <= 24,
+    SPLAB_ASSERT(historyBits >= kMinHistoryBits &&
+                     historyBits <= kMaxHistoryBits,
                  "gshare history bits out of range: ", historyBits);
     table.assign(1ULL << historyBits, 1); // weakly not-taken
     mask = (1ULL << historyBits) - 1;
@@ -49,7 +50,8 @@ GsharePredictor::reset()
 
 TournamentPredictor::TournamentPredictor(u32 historyBits)
 {
-    SPLAB_ASSERT(historyBits >= 4 && historyBits <= 24,
+    SPLAB_ASSERT(historyBits >= kMinHistoryBits &&
+                     historyBits <= kMaxHistoryBits,
                  "predictor history bits out of range: ",
                  historyBits);
     std::size_t n = 1ULL << historyBits;

@@ -20,6 +20,10 @@
 namespace splab
 {
 
+/** Accepted global-history lengths of both predictors. */
+constexpr u32 kMinHistoryBits = 4;
+constexpr u32 kMaxHistoryBits = 24;
+
 /**
  * Global-history XOR-indexed table of 2-bit saturating counters.
  */

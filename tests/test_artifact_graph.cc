@@ -587,45 +587,6 @@ TEST(FusedPersistence, CorruptSharedBlobRecomputesAndHeals)
     std::filesystem::remove_all(dir);
 }
 
-TEST(FusedPersistence, EnvKnobKeepsFusedMemoryResident)
-{
-    std::string dir = testing::TempDir() + "/splab-fused-knob";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    setenv("SPLAB_FUSED_PERSIST", "0", 1);
-
-    ArtifactGraph cold(fastConfig(),
-                       std::make_shared<const ArtifactCache>(
-                           ArtifactCache(dir)));
-    cold.runSuite(kBenches, kWholeTargets);
-    std::vector<u8> coldBytes = fusedBytes(cold);
-    // No wholefused ref blob on disk; projections persist as usual.
-    for (const auto &kv : dirContents(dir))
-        EXPECT_EQ(kv.first.rfind("wholefused-", 0),
-                  std::string::npos)
-            << kv.first;
-
-    // Warm run: projections load, the fused node itself would need
-    // recomputing — but nothing forces it, so the warm accessors of
-    // the projections still skip the traversal.
-    obs::resetCounters();
-    ArtifactGraph warm(fastConfig(),
-                       std::make_shared<const ArtifactCache>(
-                           ArtifactCache(dir)));
-    ByteWriter w;
-    for (const std::string &b : kBenches) {
-        w.put(warm.wholeCache(b));
-        w.put(warm.wholeTiming(b));
-    }
-    auto stats = obs::counterSnapshot();
-    EXPECT_EQ(counterOr0(stats, "pin.windows"), 0u);
-    EXPECT_EQ(counterOr0(stats, "graph.cache_hits"),
-              kBenches.size() * 2);
-
-    unsetenv("SPLAB_FUSED_PERSIST");
-    std::filesystem::remove_all(dir);
-}
-
 TEST(ArtifactGraphManifest, RecordsDependencyClosure)
 {
     ArtifactGraph g(fastConfig(),

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit and integration tests for the core pipeline: metrics
- * aggregation, the artifact cache, SimPoint pipeline and the run
- * drivers.
+ * aggregation, the artifact cache, BBV profiling + SimPoint
+ * selection and the run drivers.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,9 @@
 #include "core/pipeline.hh"
 #include "core/runs.hh"
 #include "core/scale.hh"
+#include "pinball/logger.hh"
 #include "support/stats_util.hh"
+#include "workload/synthetic.hh"
 
 namespace splab
 {
@@ -46,6 +48,13 @@ twoPhaseSpec(u64 chunks = 2000)
     s.schedule = ScheduleKind::Markov;
     s.dwellChunks = 60;
     return s;
+}
+
+/** The uncached selection chain: BBV profile, then clustering. */
+SimPointResult
+selectSimPoints(const BenchmarkSpec &spec, const SimPointConfig &cfg)
+{
+    return pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
 }
 
 TEST(Scale, SliceConversions)
@@ -172,12 +181,11 @@ TEST(Pipeline, SimPointsFindPhasesOfKnownWorkload)
 {
     SimPointConfig cfg;
     cfg.maxK = 8;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
     // Contiguous phases: a single boundary slice, so the clustering
     // must find exactly the two designed phases.
     BenchmarkSpec spec = twoPhaseSpec();
     spec.schedule = ScheduleKind::Contiguous;
-    SimPointResult r = pipe.simpoints(spec);
+    SimPointResult r = selectSimPoints(spec, cfg);
     EXPECT_EQ(r.points.size(), 2u);
     EXPECT_NEAR(r.totalWeight(), 1.0, 1e-9);
     auto sorted = r.byDescendingWeight();
@@ -189,8 +197,7 @@ TEST(Pipeline, SimPointsSerializationRoundTrip)
 {
     SimPointConfig cfg;
     cfg.maxK = 6;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult r = pipe.simpoints(twoPhaseSpec(600));
+    SimPointResult r = selectSimPoints(twoPhaseSpec(600), cfg);
     ByteWriter w;
     serializeSimPoints(w, r);
     ByteReader rd(w.bytes());
@@ -201,34 +208,14 @@ TEST(Pipeline, SimPointsSerializationRoundTrip)
     EXPECT_EQ(s.sweep.size(), r.sweep.size());
 }
 
-TEST(Pipeline, DiskCacheHitsAreIdentical)
-{
-    std::string dir = testing::TempDir() + "/splab_pipe_cache";
-    std::filesystem::remove_all(dir);
-    SimPointConfig cfg;
-    cfg.maxK = 6;
-    BenchmarkSpec spec = twoPhaseSpec(600);
-    PinPointsPipeline pipe(cfg, ArtifactCache(dir));
-    SimPointResult fresh = pipe.simpoints(spec);
-    SimPointResult cached = pipe.simpoints(spec);
-    EXPECT_EQ(fresh.chosenK, cached.chosenK);
-    ASSERT_EQ(fresh.points.size(), cached.points.size());
-    for (std::size_t i = 0; i < fresh.points.size(); ++i) {
-        EXPECT_EQ(fresh.points[i].slice, cached.points[i].slice);
-        EXPECT_DOUBLE_EQ(fresh.points[i].weight,
-                         cached.points[i].weight);
-    }
-    std::filesystem::remove_all(dir);
-}
-
 TEST(Pipeline, RegionalPinballMatchesSelection)
 {
     SimPointConfig cfg;
     cfg.maxK = 6;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
     BenchmarkSpec spec = twoPhaseSpec(600);
-    Pinball regional = pipe.makeRegionalPinball(spec);
-    SimPointResult r = pipe.simpoints(spec);
+    SimPointResult r = selectSimPoints(spec, cfg);
+    SyntheticWorkload wl(spec);
+    Pinball regional = Logger::makeRegional(Logger::captureWhole(wl), r);
     ASSERT_EQ(regional.regions().size(), r.points.size());
     EXPECT_EQ(regional.coveredInstrs(),
               r.points.size() * cfg.sliceInstrs);
@@ -241,8 +228,7 @@ TEST(Runs, RegionalMixTracksWholeRun)
     BenchmarkSpec spec = twoPhaseSpec();
     SimPointConfig cfg;
     cfg.maxK = 8;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult sp = pipe.simpoints(spec);
+    SimPointResult sp = selectSimPoints(spec, cfg);
 
     CacheRunMetrics whole = measureWholeCache(spec, tableIConfig());
     auto points =
@@ -259,8 +245,7 @@ TEST(Runs, WarmupReducesL3MissRateError)
     BenchmarkSpec spec = twoPhaseSpec();
     SimPointConfig cfg;
     cfg.maxK = 8;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult sp = pipe.simpoints(spec);
+    SimPointResult sp = selectSimPoints(spec, cfg);
 
     CacheRunMetrics whole = measureWholeCache(spec, tableIConfig());
     double wholeL3 = whole.l3.missRate();
@@ -280,8 +265,7 @@ TEST(Runs, TimingPointsProduceFiniteCpi)
     BenchmarkSpec spec = twoPhaseSpec(800);
     SimPointConfig cfg;
     cfg.maxK = 6;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult sp = pipe.simpoints(spec);
+    SimPointResult sp = selectSimPoints(spec, cfg);
     auto points =
         measurePointsTiming(spec, sp, tableIIIMachine(), 60);
     AggregateTimingMetrics agg = aggregateTiming(points);

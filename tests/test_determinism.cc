@@ -53,9 +53,10 @@ TEST(Determinism, SimPointSelectionIsReproducible)
     spec.totalChunks = 4000; // keep the test fast
     SimPointConfig cfg;
     cfg.maxK = 10;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult a = pipe.simpoints(spec);
-    SimPointResult b = pipe.simpoints(spec);
+    SimPointResult a =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
+    SimPointResult b =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
     ASSERT_EQ(a.points.size(), b.points.size());
     for (std::size_t i = 0; i < a.points.size(); ++i) {
         EXPECT_EQ(a.points[i].slice, b.points[i].slice);
@@ -121,8 +122,7 @@ TEST(Determinism, SimPointSelectionThreadCountInvariant)
     spec.totalChunks = 3000;
     SimPointConfig cfg;
     cfg.maxK = 8;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    auto bbvs = pipe.profileBbvs(spec);
+    auto bbvs = profileBbvs(spec, cfg.sliceInstrs);
 
     std::vector<std::vector<u8>> blobs;
     for (std::size_t threads : {1u, 2u, 8u}) {
@@ -143,8 +143,8 @@ TEST(Determinism, RegionalReplayThreadCountInvariant)
     spec.totalChunks = 2000;
     SimPointConfig cfg;
     cfg.maxK = 6;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult sp = pipe.simpoints(spec);
+    SimPointResult sp =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
 
     std::vector<std::vector<u8>> cacheBlobs, timingBlobs;
     for (std::size_t threads : {1u, 2u, 8u}) {

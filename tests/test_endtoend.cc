@@ -66,8 +66,8 @@ class EndToEnd : public testing::Test
         spec = new BenchmarkSpec(miniSpec());
         SimPointConfig cfg;
         cfg.maxK = 12;
-        PinPointsPipeline pipe(cfg, ArtifactCache(""));
-        sp = new SimPointResult(pipe.simpoints(*spec));
+        sp = new SimPointResult(
+            pickSimPoints(profileBbvs(*spec, cfg.sliceInstrs), cfg));
         whole = new CacheRunMetrics(
             measureWholeCache(*spec, miniCaches()));
         cold = new std::vector<PointCacheMetrics>(

@@ -115,8 +115,8 @@ TEST_P(WeightProperty, SelectionConservesWeightAndCoverage)
     spec.totalChunks = 3000;
     SimPointConfig cfg;
     cfg.maxK = nPhases + 6;
-    PinPointsPipeline pipe(cfg, ArtifactCache(""));
-    SimPointResult r = pipe.simpoints(spec);
+    SimPointResult r =
+        pickSimPoints(profileBbvs(spec, cfg.sliceInstrs), cfg);
 
     EXPECT_NEAR(r.totalWeight(), 1.0, 1e-9);
     u64 totalPop = 0;

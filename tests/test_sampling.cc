@@ -16,6 +16,7 @@
 #include <set>
 
 #include "core/artifact_graph.hh"
+#include "core/pipeline.hh"
 #include "obs/counters.hh"
 #include "sampling/strategies.hh"
 #include "support/serialize.hh"

@@ -87,6 +87,60 @@ wireConfig(const ExperimentConfig &cfg)
     return w.bytes();
 }
 
+/** A config one out-of-range field away from fastConfig(), and the
+ *  artifact whose compute path asserts on that field. */
+struct BadConfig
+{
+    const char *what;
+    ExperimentConfig cfg;
+    ArtifactKind kind;
+};
+
+std::vector<BadConfig>
+outOfRangeConfigs()
+{
+    std::vector<BadConfig> out;
+    auto add = [&](const char *what, ArtifactKind kind, auto poke) {
+        ExperimentConfig c = fastConfig();
+        poke(c);
+        out.push_back({what, c, kind});
+    };
+    // First: aborted a daemon that accepted it.
+    add("predictor history bits", ArtifactKind::WholeTiming,
+        [](ExperimentConfig &c) { c.machine.predictorHistoryBits = 2; });
+    add("predictor history bits (high)", ArtifactKind::WholeTiming,
+        [](ExperimentConfig &c) { c.machine.predictorHistoryBits = 25; });
+    add("zero ways", ArtifactKind::WholeCache,
+        [](ExperimentConfig &c) { c.allcache.l1d.ways = 0; });
+    add("line size", ArtifactKind::WholeCache,
+        [](ExperimentConfig &c) { c.allcache.l2.lineBytes = 48; });
+    add("set count", ArtifactKind::WholeCache,
+        [](ExperimentConfig &c) { c.allcache.l3.sizeBytes *= 3; });
+    add("timing cache geometry", ArtifactKind::WholeTiming,
+        [](ExperimentConfig &c) { c.machine.caches.l1i.ways = 0; });
+    add("zero slice", ArtifactKind::BbvProfile,
+        [](ExperimentConfig &c) { c.simpoint.sliceInstrs = 0; });
+    add("partial-chunk slice", ArtifactKind::BbvProfile,
+        [](ExperimentConfig &c) { c.simpoint.sliceInstrs = 10500; });
+    add("zero projection dims", ArtifactKind::SimPoints,
+        [](ExperimentConfig &c) { c.simpoint.projectionDim = 0; });
+    add("projection dims", ArtifactKind::SimPoints,
+        [](ExperimentConfig &c) { c.simpoint.projectionDim = 257; });
+    add("zero restarts", ArtifactKind::SimPoints,
+        [](ExperimentConfig &c) { c.simpoint.restarts = 0; });
+    add("zero max k", ArtifactKind::SimPoints,
+        [](ExperimentConfig &c) { c.simpoint.maxK = 0; });
+    add("zero random n", ArtifactKind::Regions,
+        [](ExperimentConfig &c) {
+            c.withStrategy(StrategyKind::Random).sampling.random.n = 0;
+        });
+    add("zero stride n", ArtifactKind::Regions,
+        [](ExperimentConfig &c) {
+            c.withStrategy(StrategyKind::Stride).sampling.stride.n = 0;
+        });
+    return out;
+}
+
 Request
 ensureRequest(const ExperimentConfig &cfg, const std::string &bench,
               ArtifactKind kind)
@@ -249,6 +303,12 @@ TEST(ConfigWire, DeserializeIsDefensive)
     longer.push_back(0);
     ByteReader r2(longer);
     EXPECT_FALSE(ExperimentConfig::deserialize(r2, out));
+    // Well-formed bytes, but a value the compute path asserts on.
+    for (const BadConfig &b : outOfRangeConfigs()) {
+        std::vector<u8> wire = wireConfig(b.cfg);
+        ByteReader rb(wire);
+        EXPECT_FALSE(ExperimentConfig::deserialize(rb, out)) << b.what;
+    }
 }
 
 TEST(Daemon, ServesBytesIdenticalToLocalAndAnswersStats)
@@ -308,7 +368,31 @@ TEST(Daemon, RejectsInvalidRequestsAndSurvives)
     EXPECT_FALSE(
         client.ensureArtifact(kBench, 2, cfg.contentHash(), {1, 2, 3})
             .has_value());
+    // Decodable configs with a matching hash but an out-of-range
+    // field: refused up front, never computed (which would abort
+    // the daemon for every client).
+    for (const BadConfig &b : outOfRangeConfigs()) {
+        ResponseHeader h;
+        ASSERT_TRUE(rawExchange(daemon.path(),
+                                ensureRequest(b.cfg, kBench, b.kind),
+                                h))
+            << b.what;
+        EXPECT_EQ(h.status, Status::Error) << b.what;
+        EXPECT_EQ(h.error, "undecodable experiment config") << b.what;
+    }
     EXPECT_EQ(daemon.graphCount(), 0u);
+    // A valid config whose slice outlasts this benchmark's run: the
+    // BBV profile would be empty.
+    ExperimentConfig longSlice =
+        fastConfig().withSliceInstrs(1000 * 1000 * 1000);
+    ResponseHeader h;
+    ASSERT_TRUE(rawExchange(
+        daemon.path(),
+        ensureRequest(longSlice, kBench, ArtifactKind::SimPoints), h));
+    EXPECT_EQ(h.status, Status::Error);
+    EXPECT_NE(h.error.find("slice longer than the run"),
+              std::string::npos)
+        << h.error;
     EXPECT_TRUE(client.ping());
     daemon.stop();
 }
