@@ -68,6 +68,20 @@ harvestTiming(const IntervalCoreTool &core, double wallSeconds)
 
 } // namespace
 
+TimingStats
+timingStats(const TimingRunMetrics &m)
+{
+    TimingStats t;
+    t.instrs = m.instrs;
+    t.cycles = m.cycles;
+    t.branches = m.branches;
+    t.mispredicts = m.mispredicts;
+    t.l2Hits = m.l2Hits;
+    t.l3Hits = m.l3Hits;
+    t.memAccesses = m.memAccesses;
+    return t;
+}
+
 CacheRunMetrics
 measureWholeCache(const BenchmarkSpec &spec,
                   const HierarchyConfig &caches)

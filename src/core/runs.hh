@@ -80,6 +80,10 @@ std::vector<PointCacheMetrics> measurePointsCache(
 TimingRunMetrics measureWholeTiming(const BenchmarkSpec &spec,
                                     const MachineConfig &machine);
 
+/** A timing view as the interval model's raw statistics (the input
+ *  of the native noise model, NativeMachine::observe). */
+TimingStats timingStats(const TimingRunMetrics &m);
+
 /**
  * Per-simulation-point timing runs (cold core per point, plus
  * optional warm-up), the "Sniper with SimPoints" configuration of

@@ -2,7 +2,6 @@
 
 #include "pin/engine.hh"
 #include "support/rng.hh"
-#include "timing/interval_core.hh"
 
 namespace splab
 {
@@ -21,11 +20,21 @@ NativeMachine::run(SyntheticWorkload &workload, u64 runIndex)
     engine.attach(&core);
     engine.runWhole(workload);
 
-    const TimingStats &t = core.stats();
+    PerfCounters c = observe(core.stats(), workload.spec().contentHash(),
+                             runIndex);
+    const CacheStats &l3 =
+        core.hierarchy().levelStats(CacheLevel::L3);
+    c.cacheReferences = l3.accesses;
+    c.cacheMisses = l3.misses;
+    return c;
+}
 
+PerfCounters
+NativeMachine::observe(const TimingStats &whole, u64 benchKey,
+                       u64 runIndex) const
+{
     // Hardware-effects model: systematic per-benchmark bias plus
     // per-run jitter.
-    u64 benchKey = workload.spec().contentHash();
     Rng biasRng(benchKey, 0xb1a5ULL);
     Rng jitterRng(benchKey, runIndex, 0x11f7ULL);
     double factor = 1.0 + biasSigma * biasRng.gaussian() +
@@ -34,14 +43,12 @@ NativeMachine::run(SyntheticWorkload &workload, u64 runIndex)
         factor = 0.5;
 
     PerfCounters c;
-    c.instructions = t.instrs;
-    c.cpuCycles = static_cast<u64>(t.cycles * factor);
-    c.branches = t.branches;
-    c.branchMisses = t.mispredicts;
-    const CacheStats &l3 =
-        core.hierarchy().levelStats(CacheLevel::L3);
-    c.cacheReferences = l3.accesses;
-    c.cacheMisses = l3.misses;
+    c.instructions = whole.instrs;
+    c.cpuCycles = static_cast<u64>(whole.cycles * factor);
+    c.branches = whole.branches;
+    c.branchMisses = whole.mispredicts;
+    c.cacheReferences = whole.l3Hits + whole.memAccesses;
+    c.cacheMisses = whole.memAccesses;
     return c;
 }
 

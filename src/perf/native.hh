@@ -4,19 +4,21 @@
  * perf-style counters.
  *
  * Substitution note (see DESIGN.md): we cannot run on a physical
- * i7-3770, so the native machine is the same interval timing model
- * run over the *full* workload, perturbed by a hardware-effects
- * model: a small per-benchmark systematic bias (microarchitectural
- * effects the simulator does not capture) plus per-run jitter
- * (non-determinism).  This preserves the structure of the paper's
- * Figure 12 comparison: sampled-simulation error = sampling error +
- * model-vs-hardware error + noise.
+ * i7-3770, so the native machine is a hardware-effects model over
+ * the interval timing model's run of the *full* workload: a small
+ * per-benchmark systematic bias (microarchitectural effects the
+ * simulator does not capture) plus per-run jitter (non-determinism).
+ * The whole-run statistics it perturbs are the timing view of the
+ * fused whole-run pass (core/runs.hh), so reading the counters costs
+ * no traversal of its own.  This preserves the structure of the
+ * paper's Figure 12 comparison: sampled-simulation error = sampling
+ * error + model-vs-hardware error + noise.
  */
 
 #ifndef SPLAB_PERF_NATIVE_HH
 #define SPLAB_PERF_NATIVE_HH
 
-#include "timing/machine_config.hh"
+#include "timing/interval_core.hh"
 #include "workload/synthetic.hh"
 
 namespace splab
@@ -62,6 +64,23 @@ class NativeMachine
      *        jitter only, like re-running perf).
      */
     PerfCounters run(SyntheticWorkload &workload, u64 runIndex = 0);
+
+    /**
+     * Read the counters of one native run of a benchmark whose
+     * whole-run timing-model statistics are @p whole.
+     *
+     * The LLC counts come from the timing model's own L3 outcomes:
+     * a whole run never warms, so every L3 probe ends as an L3 hit
+     * or a memory access — references = l3Hits + memAccesses,
+     * misses = memAccesses.
+     *
+     * @param benchKey the benchmark spec's content hash (selects
+     *        the systematic bias)
+     * @param runIndex distinguishes repeated timed runs (affects
+     *        jitter only, like re-running perf).
+     */
+    PerfCounters observe(const TimingStats &whole, u64 benchKey,
+                         u64 runIndex = 0) const;
 
     const MachineConfig &config() const { return hwConfig; }
 

@@ -7,6 +7,8 @@
 
 #include <cmath>
 
+#include "core/runs.hh"
+#include "core/scale.hh"
 #include "perf/native.hh"
 
 namespace splab
@@ -21,7 +23,7 @@ relErr(double a, double b)
 }
 
 BenchmarkSpec
-spec(u64 seed = 11)
+spec(u64 seed = 11, KernelKind kernel = KernelKind::ZipfHotCold)
 {
     BenchmarkSpec s;
     s.name = "perf-test";
@@ -30,7 +32,7 @@ spec(u64 seed = 11)
     s.chunkLen = 1000;
     PhaseSpec a;
     a.weight = 1.0;
-    a.kernel = KernelKind::ZipfHotCold;
+    a.kernel = kernel;
     a.workingSetBytes = 4 << 20;
     s.phases = {a};
     s.schedule = ScheduleKind::Contiguous;
@@ -93,6 +95,72 @@ TEST(Native, ZeroNoiseMatchesTimingModel)
     SyntheticWorkload wl2(spec());
     NativeMachine again(tableIIIMachine(), 0.0, 0.0);
     EXPECT_EQ(c.cpuCycles, again.run(wl2).cpuCycles);
+}
+
+/** Table III as is, with model-scale far caches, and with a smaller
+ *  FIFO L3 — the machines the derived counters must hold on. */
+std::vector<MachineConfig>
+proofMachines()
+{
+    MachineConfig scaled = tableIIIMachine();
+    scaled.caches =
+        scaleFarCaches(scaled.caches, scale::kFarCacheDivisor);
+    MachineConfig fifo = tableIIIMachine();
+    fifo.caches.l3.replacement = ReplacementPolicy::FIFO;
+    fifo.caches.l3.sizeBytes /= 4;
+    return {tableIIIMachine(), scaled, fifo};
+}
+
+/** The Native artifact's counters: the noise model over the fused
+ *  whole run's timing view. */
+PerfCounters
+fusedNative(const BenchmarkSpec &s, const MachineConfig &machine,
+            const HierarchyConfig &allcache, u64 runIndex = 0)
+{
+    FusedWholeResult r = measureWholeFused(s, allcache, machine);
+    return NativeMachine(machine).observe(timingStats(r.timing),
+                                          s.contentHash(), runIndex);
+}
+
+void
+expectSameCounters(const PerfCounters &a, const PerfCounters &b)
+{
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.cpuCycles, b.cpuCycles);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.branchMisses, b.branchMisses);
+    EXPECT_EQ(a.cacheReferences, b.cacheReferences);
+    EXPECT_EQ(a.cacheMisses, b.cacheMisses);
+}
+
+TEST(Native, FusedTimingViewMatchesDedicatedPass)
+{
+    // Every counter of a dedicated native traversal is a function of
+    // the fused pass's timing view: the four core counters map
+    // across, and the LLC counters are the timing model's L3 hits
+    // plus memory accesses.  The allcache hierarchy of the fused
+    // pass is a separate copy, so it must not move them.
+    HierarchyConfig allcache =
+        scaleFarCaches(tableIConfig(), scale::kFarCacheDivisor);
+    HierarchyConfig otherAllcache = allcache;
+    otherAllcache.l3.replacement = ReplacementPolicy::FIFO;
+    otherAllcache.l3.sizeBytes *= 2;
+    for (const MachineConfig &machine : proofMachines())
+        for (u8 k = 0; k < kNumKernelKinds; ++k) {
+            BenchmarkSpec s = spec(11 + k, static_cast<KernelKind>(k));
+            SCOPED_TRACE("kernel " +
+                         kernelKindName(static_cast<KernelKind>(k)) +
+                         ", L3 " +
+                         std::to_string(machine.caches.l3.sizeBytes));
+            SyntheticWorkload wl(s);
+            PerfCounters dedicated =
+                NativeMachine(machine).run(wl, 2);
+            EXPECT_GT(dedicated.cacheReferences, 0u);
+            expectSameCounters(fusedNative(s, machine, allcache, 2),
+                               dedicated);
+            expectSameCounters(
+                fusedNative(s, machine, otherAllcache, 2), dedicated);
+        }
 }
 
 } // namespace
