@@ -107,6 +107,10 @@ kindInfo(ArtifactKind k)
         {"pointswarm", "graph.points_cache_warm",
          0x7077726d00000001ULL, true, false,
          {ArtifactKind::RegionalPinball}},
+        // A projection of WholeFused (the noise model over its
+        // timing view) whose bytes equal a dedicated native
+        // traversal's, so its deps stay {Spec} and its slice the
+        // machine config (projection-node rule).
         {"native", "graph.native", 0x6e61746900000001ULL, true,
          false, {ArtifactKind::Spec}},
         {"pointstiming", "graph.points_timing",
@@ -737,12 +741,13 @@ ArtifactGraph::computeValue(const std::string &name,
         SPLAB_INFORM("regional cache replays (warmup): ", name);
         return measurePointsCache(regionalPinball(name),
                                   cfg.allcache, cfg.warmupChunks);
-      case ArtifactKind::Native: {
-        SPLAB_INFORM("native (perf) run: ", name);
-        SyntheticWorkload wl(spec(name));
-        NativeMachine hw(cfg.machine);
-        return hw.run(wl);
-      }
+      case ArtifactKind::Native:
+        // A projection of the fused whole run: the native machine is
+        // the noise model over its timing view.  Reading the fused
+        // node directly (not wholeTiming) adds no node to compute.
+        return NativeMachine().observe(
+            timingStats(wholeFused(name).timing),
+            spec(name).contentHash());
       case ArtifactKind::PointsTiming:
         SPLAB_INFORM("regional timing replays: ", name);
         return measurePointsTiming(regionalPinball(name),

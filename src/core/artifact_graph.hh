@@ -32,12 +32,13 @@
  *
  * Projection nodes: a node's declared deps and config slice describe
  * what its *value* depends on, not how the compute function happens
- * to route.  WholeCache and WholeTiming are computed by projecting
- * the fused WholeFused traversal, but their values are byte-
- * identical to the dedicated single-tool passes (tools are passive
- * observers of one deterministic stream — tested), so their keys
- * keep the original narrow slices: an allcache change still leaves
- * WholeTiming's key (and cached blob) untouched.  Regions is the
+ * to route.  WholeCache, WholeTiming and Native are computed by
+ * projecting the fused WholeFused traversal, but their values are
+ * byte-identical to the dedicated single-tool passes (tools are
+ * passive observers of one deterministic stream — tested), so their
+ * keys keep the original narrow slices: an allcache change still
+ * leaves WholeTiming's and Native's keys (and cached blobs)
+ * untouched.  Regions is the
  * same shape: its value depends only on the BBV profile and the
  * active SamplingStrategy's knobs (strategy-salted via
  * SamplingConfig::activeHash), so its deps are {BbvProfile} even
@@ -350,8 +351,8 @@ class ArtifactGraph
      *  SamplingStrategy (cfg.sampling.strategy). */
     const RegionSelection &regions(const std::string &name);
 
-    /** Both whole-run views from one fused traversal; WholeCache
-     *  and WholeTiming are projections of this node. */
+    /** Both whole-run views from one fused traversal; WholeCache,
+     *  WholeTiming and Native are projections of this node. */
     const FusedWholeMetrics &wholeFused(const std::string &name);
 
     /** Whole Run under ldstmix + allcache (Table I). */
@@ -371,7 +372,8 @@ class ArtifactGraph
     /** Whole run under the timing model (Table III machine). */
     const TimingRunMetrics &wholeTiming(const std::string &name);
 
-    /** Native-hardware perf counters (full run + noise model). */
+    /** Native-hardware perf counters (the noise model over the
+     *  fused whole run's timing view). */
     const PerfCounters &native(const std::string &name);
 
     /** Per-point cold timing replays (Sniper with SimPoints). */

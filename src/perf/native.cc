@@ -1,32 +1,13 @@
 #include "native.hh"
 
-#include "pin/engine.hh"
 #include "support/rng.hh"
 
 namespace splab
 {
 
-NativeMachine::NativeMachine(const MachineConfig &hw, double biasSigma,
-                             double jitterSigma)
-    : hwConfig(hw), biasSigma(biasSigma), jitterSigma(jitterSigma)
+NativeMachine::NativeMachine(double biasSigma, double jitterSigma)
+    : biasSigma(biasSigma), jitterSigma(jitterSigma)
 {
-}
-
-PerfCounters
-NativeMachine::run(SyntheticWorkload &workload, u64 runIndex)
-{
-    IntervalCoreTool core(hwConfig);
-    Engine engine;
-    engine.attach(&core);
-    engine.runWhole(workload);
-
-    PerfCounters c = observe(core.stats(), workload.spec().contentHash(),
-                             runIndex);
-    const CacheStats &l3 =
-        core.hierarchy().levelStats(CacheLevel::L3);
-    c.cacheReferences = l3.accesses;
-    c.cacheMisses = l3.misses;
-    return c;
 }
 
 PerfCounters

@@ -19,7 +19,6 @@
 #define SPLAB_PERF_NATIVE_HH
 
 #include "timing/interval_core.hh"
-#include "workload/synthetic.hh"
 
 namespace splab
 {
@@ -44,26 +43,21 @@ struct PerfCounters
     }
 };
 
-/** Runs workloads natively and reports perf counters. */
+/**
+ * The native machine's hardware-effects model: turns a benchmark's
+ * whole-run timing-model statistics into the perf counters one
+ * native run would read.
+ */
 class NativeMachine
 {
   public:
     /**
-     * @param hw        hardware being modelled (Table III)
      * @param biasSigma std-dev of the per-benchmark systematic
      *                  model-vs-hardware bias (fraction of cycles)
      * @param jitterSigma std-dev of per-run noise
      */
-    explicit NativeMachine(const MachineConfig &hw,
-                           double biasSigma = 0.02,
+    explicit NativeMachine(double biasSigma = 0.02,
                            double jitterSigma = 0.005);
-
-    /**
-     * Execute the whole workload "natively" and read the counters.
-     * @param runIndex distinguishes repeated timed runs (affects
-     *        jitter only, like re-running perf).
-     */
-    PerfCounters run(SyntheticWorkload &workload, u64 runIndex = 0);
 
     /**
      * Read the counters of one native run of a benchmark whose
@@ -82,10 +76,7 @@ class NativeMachine
     PerfCounters observe(const TimingStats &whole, u64 benchKey,
                          u64 runIndex = 0) const;
 
-    const MachineConfig &config() const { return hwConfig; }
-
   private:
-    MachineConfig hwConfig;
     double biasSigma;
     double jitterSigma;
 };

@@ -97,6 +97,25 @@ TEST(ArtifactKeys, ReplacementPolicyChangesCacheArtifactKeys)
               keyOf(fifo, ArtifactKind::SimPoints));
     EXPECT_EQ(keyOf(base, ArtifactKind::WholeTiming),
               keyOf(fifo, ArtifactKind::WholeTiming));
+    // Native is computed from the fused node, whose key does see
+    // the allcache change, but its value is the timing view's
+    // noise-model projection: its key must not move.
+    EXPECT_NE(keyOf(base, ArtifactKind::WholeFused),
+              keyOf(fifo, ArtifactKind::WholeFused));
+    EXPECT_EQ(keyOf(base, ArtifactKind::Native),
+              keyOf(fifo, ArtifactKind::Native));
+}
+
+TEST(ArtifactKeys, NativeKeyPinned)
+{
+    // Native blobs written by the dedicated native traversal stay
+    // valid for the fused-projection compute: same bytes, so the
+    // same key (value pinned at SPLAB_SCALE=0.05).
+    ArtifactGraph g(ExperimentConfig::paperDefaults(),
+                    std::make_shared<const ArtifactCache>(
+                        ArtifactCache("")));
+    EXPECT_EQ(g.artifactKey("505.mcf_r", ArtifactKind::Native),
+              0x2800c14ecc125bc7ULL);
 }
 
 TEST(ArtifactKeys, SimpointConfigCascadesToDependents)

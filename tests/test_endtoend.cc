@@ -168,9 +168,11 @@ TEST_F(EndToEnd, SampledCpiTracksNative)
     machine.caches =
         scaleFarCaches(machine.caches, scale::kFarCacheDivisor);
 
-    SyntheticWorkload wl(*spec);
-    NativeMachine hw(machine, 0.0, 0.0); // no hardware noise
-    double native = hw.run(wl).cpi();
+    NativeMachine hw(0.0, 0.0); // no hardware noise
+    double native =
+        hw.observe(timingStats(measureWholeTiming(*spec, machine)),
+                   spec->contentHash())
+            .cpi();
 
     auto points = measurePointsTiming(*spec, *sp, machine, 120);
     double sampled = aggregateTiming(points).cpi;

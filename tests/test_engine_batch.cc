@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <map>
 #include <random>
 #include <set>
@@ -812,16 +814,52 @@ TEST(FusedWholeRun, GraphProjectionsShareOneTraversal)
                         ArtifactCache("")));
     const CacheRunMetrics &wc = g.wholeCache(bench);
     const TimingRunMetrics &wt = g.wholeTiming(bench);
+    const PerfCounters &native = g.native(bench);
     const FusedWholeMetrics &fused = g.wholeFused(bench);
 
     // Projections are the fused node's fields, not re-measurements.
     EXPECT_EQ(cacheBytesNoWall(wc), cacheBytesNoWall(fused.cache));
     EXPECT_EQ(timingBytesNoWall(wt),
               timingBytesNoWall(fused.timing));
+    EXPECT_EQ(native.instructions, fused.timing.instrs);
+    EXPECT_EQ(native.cacheMisses, fused.timing.memAccesses);
     auto counters = obs::counterSnapshot();
-    // spec + fused + two projections; one engine window total.
-    EXPECT_EQ(counters.at("graph.nodes_computed"), 4u);
+    // spec + fused + three projections; one engine window total.
+    EXPECT_EQ(counters.at("graph.nodes_computed"), 5u);
     EXPECT_EQ(counters.at("pin.windows"), 1u);
+}
+
+TEST(FusedWholeRun, NativeServedWarmWithoutTraversal)
+{
+    const std::string bench = "620.omnetpp_s"; // fewest slices
+    std::string dir = testing::TempDir() + "/splab-native-cache";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto graphOver = [&] {
+        return ArtifactGraph(ExperimentConfig::paperDefaults(),
+                             std::make_shared<const ArtifactCache>(
+                                 ArtifactCache(dir)));
+    };
+
+    obs::resetCounters();
+    ArtifactGraph cold = graphOver();
+    PerfCounters coldNative = cold.native(bench);
+    EXPECT_EQ(obs::counterSnapshot().at("pin.windows"), 1u);
+
+    // A second graph over the same directory reads the persisted
+    // Native blob: no traversal, same bytes.
+    obs::resetCounters();
+    ArtifactGraph warm = graphOver();
+    const PerfCounters &warmNative = warm.native(bench);
+    auto counters = obs::counterSnapshot();
+    EXPECT_EQ(counters.count("pin.windows") ? counters.at("pin.windows")
+                                            : 0u,
+              0u);
+    EXPECT_EQ(counters.at("graph.cache_hits"), 1u);
+    EXPECT_EQ(std::memcmp(&coldNative, &warmNative,
+                          sizeof(PerfCounters)),
+              0);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(RegionalPinball, SharedCaptureAcrossReplayKinds)

@@ -10,6 +10,8 @@
 #include "core/runs.hh"
 #include "core/scale.hh"
 #include "perf/native.hh"
+#include "pin/engine.hh"
+#include "workload/synthetic.hh"
 
 namespace splab
 {
@@ -39,11 +41,18 @@ spec(u64 seed = 11, KernelKind kernel = KernelKind::ZipfHotCold)
     return s;
 }
 
+/** The whole-run timing view of @p s on Table III. */
+TimingStats
+wholeTiming(const BenchmarkSpec &s)
+{
+    return timingStats(measureWholeTiming(s, tableIIIMachine()));
+}
+
 TEST(Native, CountersArePopulated)
 {
-    SyntheticWorkload wl(spec());
-    NativeMachine hw(tableIIIMachine());
-    PerfCounters c = hw.run(wl);
+    BenchmarkSpec s = spec();
+    PerfCounters c = NativeMachine().observe(wholeTiming(s),
+                                             s.contentHash());
     EXPECT_EQ(c.instructions, 150000u);
     EXPECT_GT(c.cpuCycles, c.instructions / 4);
     EXPECT_GT(c.branches, 0u);
@@ -55,10 +64,11 @@ TEST(Native, CountersArePopulated)
 
 TEST(Native, RepeatedRunsJitterSlightly)
 {
-    SyntheticWorkload wl1(spec()), wl2(spec());
-    NativeMachine hw(tableIIIMachine());
-    PerfCounters a = hw.run(wl1, 0);
-    PerfCounters b = hw.run(wl2, 1);
+    BenchmarkSpec s = spec();
+    TimingStats t = wholeTiming(s);
+    NativeMachine hw;
+    PerfCounters a = hw.observe(t, s.contentHash(), 0);
+    PerfCounters b = hw.observe(t, s.contentHash(), 1);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_NE(a.cpuCycles, b.cpuCycles); // non-determinism
     double rel = relErr(a.cpi(), b.cpi());
@@ -67,34 +77,42 @@ TEST(Native, RepeatedRunsJitterSlightly)
 
 TEST(Native, SameRunIndexIsReproducible)
 {
-    SyntheticWorkload wl1(spec()), wl2(spec());
-    NativeMachine hw(tableIIIMachine());
-    EXPECT_EQ(hw.run(wl1, 3).cpuCycles, hw.run(wl2, 3).cpuCycles);
+    BenchmarkSpec s = spec();
+    NativeMachine hw;
+    EXPECT_EQ(hw.observe(wholeTiming(s), s.contentHash(), 3).cpuCycles,
+              hw.observe(wholeTiming(s), s.contentHash(), 3).cpuCycles);
 }
 
 TEST(Native, BiasIsPerBenchmark)
 {
     // Two different benchmarks get different systematic biases.
-    SyntheticWorkload wlA(spec(1)), wlB(spec(2));
-    NativeMachine hw(tableIIIMachine(), 0.05, 0.0);
-    double cpiA = hw.run(wlA).cpi();
-    double cpiB = hw.run(wlB).cpi();
+    BenchmarkSpec a = spec(1), b = spec(2);
+    NativeMachine hw(0.05, 0.0);
+    double cpiA = hw.observe(wholeTiming(a), a.contentHash()).cpi();
+    double cpiB = hw.observe(wholeTiming(b), b.contentHash()).cpi();
     // Same workload shape, different seeds -> CPI ratio reflects
     // the bias draw (and stream differences); must not be exactly
     // equal.
     EXPECT_NE(cpiA, cpiB);
+
+    // The bias alone, on one timing view, moves the cycles too.
+    TimingStats t = wholeTiming(a);
+    EXPECT_NE(hw.observe(t, a.contentHash()).cpuCycles,
+              hw.observe(t, b.contentHash()).cpuCycles);
 }
 
 TEST(Native, ZeroNoiseMatchesTimingModel)
 {
-    SyntheticWorkload wl(spec());
-    NativeMachine clean(tableIIIMachine(), 0.0, 0.0);
-    PerfCounters c = clean.run(wl);
+    BenchmarkSpec s = spec();
+    TimingStats t = wholeTiming(s);
+    NativeMachine clean(0.0, 0.0);
+    PerfCounters c = clean.observe(t, s.contentHash());
     // With the hardware-effects model disabled, cycles equal the
     // timing model's output exactly (modulo u64 truncation).
-    SyntheticWorkload wl2(spec());
-    NativeMachine again(tableIIIMachine(), 0.0, 0.0);
-    EXPECT_EQ(c.cpuCycles, again.run(wl2).cpuCycles);
+    EXPECT_EQ(c.cpuCycles, static_cast<u64>(t.cycles));
+    EXPECT_EQ(c.cpuCycles,
+              NativeMachine(0.0, 0.0).observe(t, s.contentHash(), 5)
+                  .cpuCycles);
 }
 
 /** Table III as is, with model-scale far caches, and with a smaller
@@ -118,8 +136,27 @@ fusedNative(const BenchmarkSpec &s, const MachineConfig &machine,
             const HierarchyConfig &allcache, u64 runIndex = 0)
 {
     FusedWholeResult r = measureWholeFused(s, allcache, machine);
-    return NativeMachine(machine).observe(timingStats(r.timing),
-                                          s.contentHash(), runIndex);
+    return NativeMachine().observe(timingStats(r.timing),
+                                   s.contentHash(), runIndex);
+}
+
+/** The oracle: a dedicated timing-model traversal whose LLC counts
+ *  are read from the timing hierarchy's own L3 statistics. */
+PerfCounters
+dedicatedNative(const BenchmarkSpec &s, const MachineConfig &machine,
+                u64 runIndex = 0)
+{
+    SyntheticWorkload wl(s);
+    IntervalCoreTool core(machine);
+    Engine engine;
+    engine.attach(&core);
+    engine.runWhole(wl);
+    PerfCounters c =
+        NativeMachine().observe(core.stats(), s.contentHash(), runIndex);
+    const CacheStats &l3 = core.hierarchy().levelStats(CacheLevel::L3);
+    c.cacheReferences = l3.accesses;
+    c.cacheMisses = l3.misses;
+    return c;
 }
 
 void
@@ -152,9 +189,7 @@ TEST(Native, FusedTimingViewMatchesDedicatedPass)
                          kernelKindName(static_cast<KernelKind>(k)) +
                          ", L3 " +
                          std::to_string(machine.caches.l3.sizeBytes));
-            SyntheticWorkload wl(s);
-            PerfCounters dedicated =
-                NativeMachine(machine).run(wl, 2);
+            PerfCounters dedicated = dedicatedNative(s, machine, 2);
             EXPECT_GT(dedicated.cacheReferences, 0u);
             expectSameCounters(fusedNative(s, machine, allcache, 2),
                                dedicated);
