@@ -1,10 +1,11 @@
 /**
  * @file
  * Clustering microbench: the triangle-inequality-accelerated k-means
- * (SPLAB_KMEANS_ACCEL, Hamerly-style bounds in the Lloyd iterations
- * plus half-distance pruning in the fixed-centroid scans) against the
- * brute-force nearest-centroid path, on the paper-default BIC k-sweep
- * over real per-benchmark BBV profiles.
+ * (DistanceKernel::Pruned, Hamerly-style bounds in the Lloyd
+ * iterations plus half-distance pruning in the fixed-centroid scans)
+ * against the brute-force nearest-centroid path
+ * (DistanceKernel::BruteForce), on the paper-default BIC k-sweep over
+ * real per-benchmark BBV profiles.
  *
  * Always runs in check mode: every comparison byte-compares the
  * serialized SimPointResult (assignments, centroid doubles, sweep
@@ -95,7 +96,6 @@ main(int, char **argv)
     setenv("SPLAB_SCALE", "0.1", 0);
     const ExperimentConfig cfg = ExperimentConfig::paperDefaults();
     const auto benches = suiteNames();
-    const char *accelOld = std::getenv("SPLAB_KMEANS_ACCEL");
     bool identical = true;
 
     bench::banner("k-means: triangle-inequality pruning",
@@ -119,13 +119,13 @@ main(int, char **argv)
         totalSlices += bbvs.size();
 
         SimPointResult brute, accel;
-        setenv("SPLAB_KMEANS_ACCEL", "0", 1);
         KernelWork bw;
         double bs = wallSeconds([&] {
-            bw = kernelWork(
-                [&] { brute = pickSimPoints(bbvs, cfg.simpoint); });
+            bw = kernelWork([&] {
+                brute = pickSimPoints(bbvs, cfg.simpoint,
+                                      DistanceKernel::BruteForce);
+            });
         });
-        setenv("SPLAB_KMEANS_ACCEL", "1", 1);
         KernelWork aw;
         double as = wallSeconds([&] {
             aw = kernelWork(
@@ -189,7 +189,6 @@ main(int, char **argv)
             cfg.simpoint.projectionDim,
             hashCombine(cfg.simpoint.seed, 0x9e37ULL));
         DenseMatrix pts = proj.projectAllNormalized(bbvs);
-        setenv("SPLAB_KMEANS_ACCEL", "1", 1);
         KMeansResult fit = kmeansFit(
             pts, cfg.simpoint.maxK, cfg.simpoint.seed,
             cfg.simpoint.maxIters);
@@ -199,8 +198,10 @@ main(int, char **argv)
         std::vector<double> bruteD2(pts.rows()),
             accelD2(pts.rows());
         DistanceKernelStats st;
-        NearestCentroids bruteScan(fit.centroids, false);
-        NearestCentroids accelScan(fit.centroids, true, &st);
+        NearestCentroids bruteScan(fit.centroids,
+                                   DistanceKernel::BruteForce);
+        NearestCentroids accelScan(fit.centroids,
+                                   DistanceKernel::Pruned, &st);
         double bs = wallSeconds([&] {
             for (int r = 0; r < assignReps; ++r)
                 for (std::size_t i = 0; i < pts.rows(); ++i)
@@ -242,11 +243,6 @@ main(int, char **argv)
                      fmtX(assignSpeedup, 2),
                      assignSame ? "yes" : "NO"});
     assignTable.print();
-
-    if (accelOld)
-        setenv("SPLAB_KMEANS_ACCEL", accelOld, 1);
-    else
-        unsetenv("SPLAB_KMEANS_ACCEL");
 
     bench::saveCsv(csv, argv[0]);
 

@@ -6,7 +6,6 @@
 
 #include "obs/counters.hh"
 #include "obs/trace.hh"
-#include "support/env.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
@@ -270,10 +269,11 @@ seedCentroids(const DenseMatrix &points, u32 k, Rng &rng, bool accel,
 } // namespace
 
 NearestCentroids::NearestCentroids(const DenseMatrix &centroids,
-                                   bool accel,
+                                   DistanceKernel kernel,
                                    DistanceKernelStats *stats)
     : cents(centroids), k(static_cast<u32>(centroids.rows())),
-      usePruning(accel && centroids.rows() >= 2)
+      usePruning(kernel == DistanceKernel::Pruned &&
+                 centroids.rows() >= 2)
 {
     if (!usePruning) {
         sLow.assign(k, std::numeric_limits<double>::infinity());
@@ -335,7 +335,8 @@ NearestCentroids::nearest(const double *p, double &bestD2,
 }
 
 KMeansResult
-kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
+kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters,
+          DistanceKernel kernel)
 {
     obs::TraceSpan span("kmeans.fit");
     static obs::Counter &fits =
@@ -351,7 +352,7 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
 
     const std::size_t n = points.rows();
     const std::size_t dim = points.cols();
-    const bool accel = kmeansAccelEnabled();
+    const bool accel = kernel == DistanceKernel::Pruned;
     DistanceKernelStats stats;
 
     Rng rng(seed, 0x63a5ULL);
@@ -382,7 +383,7 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
     for (int iter = 0; iter < maxIters; ++iter) {
         // Conservative inter-centroid half-distances for this
         // iteration's centroids, shared by every chunk below.
-        NearestCentroids geo(res.centroids, accel, &stats);
+        NearestCentroids geo(res.centroids, kernel, &stats);
 
         // Assignment pass: each chunk accumulates private partial
         // sums; res.assignment and lb are written index-wise, so
@@ -513,13 +514,13 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters)
 
 KMeansResult
 kmeansBestOf(const DenseMatrix &points, u32 k, u64 seed,
-             int restarts, int maxIters)
+             int restarts, int maxIters, DistanceKernel kernel)
 {
     SPLAB_ASSERT(restarts >= 1, "kmeans: restarts must be >= 1");
     auto fits = parallelMap<KMeansResult>(
         static_cast<std::size_t>(restarts), [&](std::size_t r) {
             return kmeansFit(points, k, hashCombine(seed, r),
-                             maxIters);
+                             maxIters, kernel);
         });
     // Index-order reduction: the earliest restart wins ties, exactly
     // as the serial loop did.

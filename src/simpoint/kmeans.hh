@@ -9,8 +9,9 @@
  * the global thread pool; per-chunk partial sums are reduced in
  * fixed chunk order, so fits are bit-identical at any SPLAB_THREADS.
  *
- * Triangle-inequality acceleration (SPLAB_KMEANS_ACCEL, default on):
- * Lloyd iterations keep Hamerly-style per-point bounds — an upper
+ * Triangle-inequality acceleration (DistanceKernel::Pruned, the
+ * default; DistanceKernel::BruteForce is the exact-scan oracle that
+ * tests and benches compare against): Lloyd iterations keep Hamerly-style per-point bounds — an upper
  * bound on the distance to the assigned centroid and a single lower
  * bound on the second-closest — maintained across iterations via
  * per-centroid drift, and the fixed-centroid scans (whole-run slice
@@ -39,6 +40,14 @@
 
 namespace splab
 {
+
+/** Nearest-centroid scan strategy of the clustering kernels.  Both
+ *  produce bit-identical results; they differ only in work done. */
+enum class DistanceKernel
+{
+    Pruned,    ///< triangle-inequality bounds (see file comment)
+    BruteForce ///< every candidate distance computed
+};
 
 /** Outcome of one k-means fit. */
 struct KMeansResult
@@ -104,10 +113,11 @@ class NearestCentroids
 {
   public:
     /** @param centroids fixed centroid rows (must outlive this)
-     *  @param accel     false = plain brute scans (no table)
+     *  @param kernel    BruteForce = plain scans (no table)
      *  @param stats     when non-null, receives the table build's
      *                   distance evaluations */
-    NearestCentroids(const DenseMatrix &centroids, bool accel,
+    NearestCentroids(const DenseMatrix &centroids,
+                     DistanceKernel kernel,
                      DistanceKernelStats *stats = nullptr);
 
     /** Nearest centroid of @p p (dim = centroids.cols()) under the
@@ -145,34 +155,39 @@ class NearestCentroids
  * @param k        number of clusters (clamped to points.rows())
  * @param seed     seeding determinism
  * @param maxIters Lloyd iteration cap
+ * @param kernel   nearest-centroid scan strategy
  */
 KMeansResult kmeansFit(const DenseMatrix &points, u32 k, u64 seed,
-                       int maxIters = 40);
+                       int maxIters = 40,
+                       DistanceKernel kernel = DistanceKernel::Pruned);
 
 /**
  * Best of @p restarts fits (lowest distortion, earliest restart on
  * ties), varying the seed.  Restarts run in parallel.
  */
 KMeansResult kmeansBestOf(const DenseMatrix &points, u32 k, u64 seed,
-                          int restarts, int maxIters = 40);
+                          int restarts, int maxIters = 40,
+                          DistanceKernel kernel = DistanceKernel::Pruned);
 
 /// @name Row-vector conveniences (tests, benches, external callers)
 /// @{
 
 inline KMeansResult
 kmeansFit(const std::vector<std::vector<double>> &points, u32 k,
-          u64 seed, int maxIters = 40)
+          u64 seed, int maxIters = 40,
+          DistanceKernel kernel = DistanceKernel::Pruned)
 {
     return kmeansFit(DenseMatrix::fromRows(points), k, seed,
-                     maxIters);
+                     maxIters, kernel);
 }
 
 inline KMeansResult
 kmeansBestOf(const std::vector<std::vector<double>> &points, u32 k,
-             u64 seed, int restarts, int maxIters = 40)
+             u64 seed, int restarts, int maxIters = 40,
+             DistanceKernel kernel = DistanceKernel::Pruned)
 {
     return kmeansBestOf(DenseMatrix::fromRows(points), k, seed,
-                        restarts, maxIters);
+                        restarts, maxIters, kernel);
 }
 
 /// @}

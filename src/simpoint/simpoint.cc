@@ -6,7 +6,6 @@
 #include "obs/counters.hh"
 #include "obs/trace.hh"
 #include "sampling/region.hh"
-#include "support/env.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/serialize.hh"
@@ -153,7 +152,7 @@ findRoot(std::vector<u32> &parent, u32 x)
 /** Build the final result from a fit over the sample. */
 SimPointResult
 finalize(const KMeansResult &fit, const DenseMatrix &allProjected,
-         const SimPointConfig &cfg)
+         const SimPointConfig &cfg, DistanceKernel kernel)
 {
     obs::TraceSpan span("simpoint.finalize");
     SimPointResult res;
@@ -177,8 +176,7 @@ finalize(const KMeansResult &fit, const DenseMatrix &allProjected,
         DistanceKernelStats stats;
     };
     DistanceKernelStats pass1Stats;
-    NearestCentroids nearest(fit.centroids, kmeansAccelEnabled(),
-                             &pass1Stats);
+    NearestCentroids nearest(fit.centroids, kernel, &pass1Stats);
     std::vector<u32> rawAssign(n, 0);
     auto pass1 = parallelChunkApply<Pass1Accum>(
         n, kSliceChunk, [&](Pass1Accum &a, const ChunkRange &r) {
@@ -352,7 +350,7 @@ finalize(const KMeansResult &fit, const DenseMatrix &allProjected,
 
 SimPointResult
 pickSimPoints(const std::vector<FrequencyVector> &bbvs,
-              const SimPointConfig &cfg)
+              const SimPointConfig &cfg, DistanceKernel kernel)
 {
     obs::TraceSpan span("simpoint.pick");
     static obs::Counter &selections =
@@ -380,7 +378,7 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
         u32 k = static_cast<u32>(ki) + 1;
         SweepFit s;
         s.fit = kmeansBestOf(in.sample, k, hashCombine(cfg.seed, k),
-                             cfg.restarts, cfg.maxIters);
+                             cfg.restarts, cfg.maxIters, kernel);
         s.entry = {k, bicScore(s.fit, in.sample), s.fit.distortion,
                    s.fit.avgClusterVariance(in.sample)};
         return s;
@@ -393,7 +391,8 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
         scores.push_back(s.entry.bic);
 
     std::size_t pick = pickByBicFraction(scores, cfg.bicFraction);
-    SimPointResult out = finalize(sweep[pick].fit, in.projected, cfg);
+    SimPointResult out =
+        finalize(sweep[pick].fit, in.projected, cfg, kernel);
     out.sweep.reserve(sweep.size());
     for (const SweepFit &s : sweep)
         out.sweep.push_back(s.entry);
@@ -402,7 +401,8 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
 
 SimPointResult
 pickSimPointsForcedK(const std::vector<FrequencyVector> &bbvs,
-                     const SimPointConfig &cfg, u32 k)
+                     const SimPointConfig &cfg, u32 k,
+                     DistanceKernel kernel)
 {
     SPLAB_ASSERT(!bbvs.empty(), "simpoint: no slices");
     SPLAB_ASSERT(k >= 1, "simpoint: forced k must be >= 1");
@@ -411,8 +411,8 @@ pickSimPointsForcedK(const std::vector<FrequencyVector> &bbvs,
 
     KMeansResult fit =
         kmeansBestOf(in.sample, k, hashCombine(cfg.seed, k),
-                     cfg.restarts, cfg.maxIters);
-    SimPointResult out = finalize(fit, in.projected, cfg);
+                     cfg.restarts, cfg.maxIters, kernel);
+    SimPointResult out = finalize(fit, in.projected, cfg, kernel);
     out.sweep.push_back({fit.k, bicScore(fit, in.sample),
                          fit.distortion,
                          fit.avgClusterVariance(in.sample)});

@@ -103,11 +103,14 @@ struct SimPointResult
 /**
  * Run the full SimPoint selection over per-slice BBVs.
  *
- * @param bbvs one BBV per slice, in slice order
- * @param cfg  methodology knobs
+ * @param bbvs   one BBV per slice, in slice order
+ * @param cfg    methodology knobs
+ * @param kernel nearest-centroid scan strategy (bit-identical
+ *               results either way; see kmeans.hh)
  */
-SimPointResult pickSimPoints(const std::vector<FrequencyVector> &bbvs,
-                             const SimPointConfig &cfg);
+SimPointResult pickSimPoints(
+    const std::vector<FrequencyVector> &bbvs, const SimPointConfig &cfg,
+    DistanceKernel kernel = DistanceKernel::Pruned);
 
 /**
  * Cluster with a forced k (no BIC selection); used for sensitivity
@@ -115,7 +118,7 @@ SimPointResult pickSimPoints(const std::vector<FrequencyVector> &bbvs,
  */
 SimPointResult pickSimPointsForcedK(
     const std::vector<FrequencyVector> &bbvs, const SimPointConfig &cfg,
-    u32 k);
+    u32 k, DistanceKernel kernel = DistanceKernel::Pruned);
 
 } // namespace splab
 

@@ -82,10 +82,4 @@ servicePath()
     return envString("SPLAB_SERVICE", "");
 }
 
-bool
-kmeansAccelEnabled()
-{
-    return envLong("SPLAB_KMEANS_ACCEL", 1) != 0;
-}
-
 } // namespace splab

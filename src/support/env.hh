@@ -21,16 +21,6 @@
  *  - SPLAB_MANIFEST: 0 = suppress the "<binary>.manifest.json" run
  *                    manifest benches write by default (see
  *                    obs/manifest.hh).
- *  - SPLAB_KMEANS_ACCEL: 0 = force brute-force nearest-centroid
- *                    scans in the clustering stack (see
- *                    simpoint/kmeans.hh).  Default on: Lloyd
- *                    iterations keep Hamerly-style distance bounds
- *                    and the whole-run slice assignment prunes via
- *                    inter-centroid half-distances.  Skips happen
- *                    only when a centroid is provably strictly
- *                    farther under conservative bound arithmetic, so
- *                    assignments, distortion and centroid bytes are
- *                    bit-identical either way.
  *  - SPLAB_SERVICE : path of a splabd artifact-service Unix-domain
  *                    socket.  When set, every ArtifactGraph becomes
  *                    a service client: persisted artifacts are
@@ -81,11 +71,6 @@ u64 cacheMaxBytes();
  *  no daemon, local-only artifact resolution.  Re-read per call so
  *  tests can point individual graphs at scratch daemons. */
 std::string servicePath();
-
-/** Whether the triangle-inequality-pruned clustering kernels may be
- *  used (SPLAB_KMEANS_ACCEL; default on).  Re-read per fit so tests
- *  can toggle it within one process. */
-bool kmeansAccelEnabled();
 
 } // namespace splab
 

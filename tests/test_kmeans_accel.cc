@@ -3,9 +3,10 @@
  * Tests for the triangle-inequality-accelerated clustering kernels.
  *
  * The acceleration contract is *exact equality*, not approximation:
- * with SPLAB_KMEANS_ACCEL on, every fit, nearest-centroid scan and
+ * with DistanceKernel::Pruned, every fit, nearest-centroid scan and
  * whole-pipeline SimPoint selection must be bit-identical to the
- * brute-force path at any SPLAB_THREADS — so these tests compare
+ * DistanceKernel::BruteForce path at any SPLAB_THREADS — so these
+ * tests compare
  * doubles with memcmp, not EXPECT_NEAR.  The work tallies
  * (kmeans.distances_computed / distances_pruned / bound_fallbacks)
  * are deterministic counters and are asserted to be thread-count
@@ -14,13 +15,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 
 #include "core/pipeline.hh"
 #include "obs/counters.hh"
 #include "simpoint/simpoint.hh"
-#include "support/env.hh"
 #include "support/rng.hh"
 #include "support/serialize.hh"
 #include "support/thread_pool.hh"
@@ -29,18 +28,6 @@ namespace splab
 {
 namespace
 {
-
-/** Scoped SPLAB_KMEANS_ACCEL setter; restores the default (on). */
-class AccelGuard
-{
-  public:
-    explicit AccelGuard(bool on)
-    {
-        ::setenv("SPLAB_KMEANS_ACCEL", on ? "1" : "0", 1);
-    }
-
-    ~AccelGuard() { ::setenv("SPLAB_KMEANS_ACCEL", "1", 1); }
-};
 
 /** Scoped global-pool resize; restores the environment default. */
 class ThreadsGuard
@@ -120,15 +107,9 @@ TEST(KMeansAccel, FitBitIdenticalToBruteAcrossK)
 {
     auto pts = gaussianBlobs(6, 60, 0.4, 11);
     for (u32 k : {1u, 2u, 3u, 5u, 8u, 16u}) {
-        KMeansResult brute, accel;
-        {
-            AccelGuard off(false);
-            brute = kmeansFit(pts, k, 7);
-        }
-        {
-            AccelGuard on(true);
-            accel = kmeansFit(pts, k, 7);
-        }
+        KMeansResult brute =
+            kmeansFit(pts, k, 7, 40, DistanceKernel::BruteForce);
+        KMeansResult accel = kmeansFit(pts, k, 7);
         SCOPED_TRACE("k=" + std::to_string(k));
         expectBitIdentical(brute, accel);
     }
@@ -137,15 +118,9 @@ TEST(KMeansAccel, FitBitIdenticalToBruteAcrossK)
 TEST(KMeansAccel, BestOfBitIdentical)
 {
     auto pts = gaussianBlobs(4, 80, 0.6, 19);
-    KMeansResult brute, accel;
-    {
-        AccelGuard off(false);
-        brute = kmeansBestOf(pts, 6, 3, 4);
-    }
-    {
-        AccelGuard on(true);
-        accel = kmeansBestOf(pts, 6, 3, 4);
-    }
+    KMeansResult brute =
+        kmeansBestOf(pts, 6, 3, 4, 40, DistanceKernel::BruteForce);
+    KMeansResult accel = kmeansBestOf(pts, 6, 3, 4);
     expectBitIdentical(brute, accel);
 }
 
@@ -161,15 +136,9 @@ TEST(KMeansAccel, DuplicatePointsAndTiesBitIdentical)
             for (double y : {-1.0, 0.0, 1.0})
                 pts.push_back({x, y});
     for (u32 k : {2u, 3u, 4u, 9u}) {
-        KMeansResult brute, accel;
-        {
-            AccelGuard off(false);
-            brute = kmeansFit(pts, k, 1);
-        }
-        {
-            AccelGuard on(true);
-            accel = kmeansFit(pts, k, 1);
-        }
+        KMeansResult brute =
+            kmeansFit(pts, k, 1, 40, DistanceKernel::BruteForce);
+        KMeansResult accel = kmeansFit(pts, k, 1);
         SCOPED_TRACE("k=" + std::to_string(k));
         expectBitIdentical(brute, accel);
     }
@@ -178,15 +147,9 @@ TEST(KMeansAccel, DuplicatePointsAndTiesBitIdentical)
 TEST(KMeansAccel, PruningEngagesAndSavesWork)
 {
     auto pts = gaussianBlobs(8, 100, 0.1, 29);
-    KernelDeltas brute, accel;
-    {
-        AccelGuard off(false);
-        brute = kernelDeltas([&] { kmeansFit(pts, 16, 5); });
-    }
-    {
-        AccelGuard on(true);
-        accel = kernelDeltas([&] { kmeansFit(pts, 16, 5); });
-    }
+    KernelDeltas brute = kernelDeltas(
+        [&] { kmeansFit(pts, 16, 5, 40, DistanceKernel::BruteForce); });
+    KernelDeltas accel = kernelDeltas([&] { kmeansFit(pts, 16, 5); });
     // Brute force never prunes and never consults bounds.
     EXPECT_EQ(brute.pruned, 0u);
     EXPECT_EQ(brute.fallbacks, 0u);
@@ -196,21 +159,20 @@ TEST(KMeansAccel, PruningEngagesAndSavesWork)
     EXPECT_LT(accel.computed, brute.computed);
 }
 
-TEST(KMeansAccel, KnobReReadPerFit)
+TEST(KMeansAccel, KernelParameterSelectsPath)
 {
-    // The env knob is consulted per fit, so one process can compare
-    // both paths without re-exec.
+    // The scan strategy is a per-call parameter, so one process can
+    // interleave both paths; the default is the pruned kernel.
     auto pts = gaussianBlobs(4, 50, 0.2, 37);
-    {
-        AccelGuard off(false);
-        KernelDeltas d = kernelDeltas([&] { kmeansFit(pts, 8, 2); });
-        EXPECT_EQ(d.pruned, 0u);
-    }
-    {
-        AccelGuard on(true);
-        KernelDeltas d = kernelDeltas([&] { kmeansFit(pts, 8, 2); });
-        EXPECT_GT(d.pruned, 0u);
-    }
+    KernelDeltas brute = kernelDeltas(
+        [&] { kmeansFit(pts, 8, 2, 40, DistanceKernel::BruteForce); });
+    EXPECT_EQ(brute.pruned, 0u);
+    KernelDeltas byDefault = kernelDeltas([&] { kmeansFit(pts, 8, 2); });
+    EXPECT_GT(byDefault.pruned, 0u);
+    KernelDeltas pruned = kernelDeltas(
+        [&] { kmeansFit(pts, 8, 2, 40, DistanceKernel::Pruned); });
+    EXPECT_EQ(pruned.computed, byDefault.computed);
+    EXPECT_EQ(pruned.pruned, byDefault.pruned);
 }
 
 TEST(KMeansAccel, CountersThreadCountInvariant)
@@ -220,7 +182,6 @@ TEST(KMeansAccel, CountersThreadCountInvariant)
     // deterministic manifest section.  Assert the deltas (and the
     // fit bytes) are identical at 1, 2 and 8 threads.
     auto pts = gaussianBlobs(5, 120, 0.3, 43);
-    AccelGuard on(true);
     KMeansResult ref;
     KernelDeltas refDeltas;
     bool first = true;
@@ -252,8 +213,8 @@ TEST(NearestCentroids, MatchesBruteScanExactly)
             cents.at(r, c) = rng.uniform(-5.0, 5.0);
 
     DistanceKernelStats stats;
-    NearestCentroids pruned(cents, true, &stats);
-    NearestCentroids brute(cents, false);
+    NearestCentroids pruned(cents, DistanceKernel::Pruned, &stats);
+    NearestCentroids brute(cents, DistanceKernel::BruteForce);
     EXPECT_TRUE(pruned.pruning());
     EXPECT_FALSE(brute.pruning());
 
@@ -276,7 +237,7 @@ TEST(NearestCentroids, MatchesBruteScanExactly)
 TEST(NearestCentroids, SingleCentroidNeverPrunes)
 {
     DenseMatrix cents(1, 4);
-    NearestCentroids nc(cents, true);
+    NearestCentroids nc(cents, DistanceKernel::Pruned);
     EXPECT_FALSE(nc.pruning());
     std::vector<double> p = {1.0, 2.0, 3.0, 4.0};
     DistanceKernelStats st;
@@ -316,10 +277,11 @@ phasedBbvs(const std::vector<double> &weights, u32 slices, u64 seed)
 
 std::vector<u8>
 selectionBytes(const std::vector<FrequencyVector> &bbvs,
-               const SimPointConfig &cfg)
+               const SimPointConfig &cfg,
+               DistanceKernel kernel = DistanceKernel::Pruned)
 {
     ByteWriter w;
-    serializeSimPoints(w, pickSimPoints(bbvs, cfg));
+    serializeSimPoints(w, pickSimPoints(bbvs, cfg, kernel));
     return w.bytes();
 }
 
@@ -327,20 +289,16 @@ TEST(SimPointAccel, WholePipelineBytesInvariant)
 {
     // End-to-end SimPoint selection — sub-sampled k-sweep, BIC pick,
     // whole-run slice assignment — serialized and byte-compared:
-    // accel on/off and every thread count must agree exactly, which
+    // both kernels and every thread count must agree exactly, which
     // is what keeps cached artifact bytes stable with no salt bump.
     auto bbvs = phasedBbvs({0.4, 0.3, 0.2, 0.1}, 500, 67);
     SimPointConfig cfg;
     cfg.maxK = 10;
-    std::vector<u8> ref;
-    {
-        AccelGuard off(false);
-        ref = selectionBytes(bbvs, cfg);
-    }
+    std::vector<u8> ref =
+        selectionBytes(bbvs, cfg, DistanceKernel::BruteForce);
     ASSERT_FALSE(ref.empty());
     for (std::size_t threads : {1u, 2u, 8u}) {
         ThreadsGuard tg(threads);
-        AccelGuard on(true);
         SCOPED_TRACE("threads=" + std::to_string(threads));
         EXPECT_EQ(selectionBytes(bbvs, cfg), ref);
     }
@@ -351,7 +309,6 @@ TEST(SimPointAccel, PipelinePruningEngages)
     auto bbvs = phasedBbvs({0.5, 0.3, 0.2}, 600, 71);
     SimPointConfig cfg;
     cfg.maxK = 12;
-    AccelGuard on(true);
     KernelDeltas d =
         kernelDeltas([&] { pickSimPoints(bbvs, cfg); });
     EXPECT_GT(d.pruned, 0u);
