@@ -107,10 +107,8 @@ kindInfo(ArtifactKind k)
         {"pointswarm", "graph.points_cache_warm",
          0x7077726d00000001ULL, true, false,
          {ArtifactKind::RegionalPinball}},
-        // A projection of WholeFused (the noise model over its
-        // timing view) whose bytes equal a dedicated native
-        // traversal's, so its deps stay {Spec} and its slice the
-        // machine config (projection-node rule).
+        // Computed from WholeFused, but its deps and slice describe
+        // the value: a pure function of the spec and the machine.
         {"native", "graph.native", 0x6e61746900000001ULL, true,
          false, {ArtifactKind::Spec}},
         {"pointstiming", "graph.points_timing",
@@ -742,9 +740,8 @@ ArtifactGraph::computeValue(const std::string &name,
         return measurePointsCache(regionalPinball(name),
                                   cfg.allcache, cfg.warmupChunks);
       case ArtifactKind::Native:
-        // A projection of the fused whole run: the native machine is
-        // the noise model over its timing view.  Reading the fused
-        // node directly (not wholeTiming) adds no node to compute.
+        // The noise model over the fused timing view; reading the
+        // fused node (not wholeTiming) adds no node to compute.
         return NativeMachine().observe(
             timingStats(wholeFused(name).timing),
             spec(name).contentHash());

@@ -372,8 +372,7 @@ class ArtifactGraph
     /** Whole run under the timing model (Table III machine). */
     const TimingRunMetrics &wholeTiming(const std::string &name);
 
-    /** Native-hardware perf counters (the noise model over the
-     *  fused whole run's timing view). */
+    /** Native perf counters: the noise model over the fused timing. */
     const PerfCounters &native(const std::string &name);
 
     /** Per-point cold timing replays (Sniper with SimPoints). */

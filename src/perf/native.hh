@@ -5,14 +5,11 @@
  *
  * Substitution note (see DESIGN.md): we cannot run on a physical
  * i7-3770, so the native machine is a hardware-effects model over
- * the interval timing model's run of the *full* workload: a small
- * per-benchmark systematic bias (microarchitectural effects the
- * simulator does not capture) plus per-run jitter (non-determinism).
- * The whole-run statistics it perturbs are the timing view of the
- * fused whole-run pass (core/runs.hh), so reading the counters costs
- * no traversal of its own.  This preserves the structure of the
- * paper's Figure 12 comparison: sampled-simulation error = sampling
- * error + model-vs-hardware error + noise.
+ * the fused whole run's timing view (core/runs.hh): a per-benchmark
+ * systematic bias (microarchitectural effects the simulator does not
+ * capture) plus per-run jitter (non-determinism).  This preserves the
+ * structure of the paper's Figure 12 comparison: sampled-simulation
+ * error = sampling error + model-vs-hardware error + noise.
  */
 
 #ifndef SPLAB_PERF_NATIVE_HH
@@ -43,11 +40,7 @@ struct PerfCounters
     }
 };
 
-/**
- * The native machine's hardware-effects model: turns a benchmark's
- * whole-run timing-model statistics into the perf counters one
- * native run would read.
- */
+/** The native machine's hardware-effects (noise) model. */
 class NativeMachine
 {
   public:
@@ -61,12 +54,9 @@ class NativeMachine
 
     /**
      * Read the counters of one native run of a benchmark whose
-     * whole-run timing-model statistics are @p whole.
-     *
-     * The LLC counts come from the timing model's own L3 outcomes:
-     * a whole run never warms, so every L3 probe ends as an L3 hit
-     * or a memory access — references = l3Hits + memAccesses,
-     * misses = memAccesses.
+     * whole-run timing-model statistics are @p whole.  A whole run
+     * never warms, so every L3 probe is an L3 hit or a memory access:
+     * LLC references = l3Hits + memAccesses, misses = memAccesses.
      *
      * @param benchKey the benchmark spec's content hash (selects
      *        the systematic bias)

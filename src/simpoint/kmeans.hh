@@ -10,8 +10,8 @@
  * fixed chunk order, so fits are bit-identical at any SPLAB_THREADS.
  *
  * Triangle-inequality acceleration (DistanceKernel::Pruned, the
- * default; DistanceKernel::BruteForce is the exact-scan oracle that
- * tests and benches compare against): Lloyd iterations keep Hamerly-style per-point bounds — an upper
+ * default; BruteForce is the exact-scan oracle of tests and benches):
+ * Lloyd iterations keep Hamerly-style per-point bounds — an upper
  * bound on the distance to the assigned centroid and a single lower
  * bound on the second-closest — maintained across iterations via
  * per-centroid drift, and the fixed-centroid scans (whole-run slice
@@ -41,13 +41,8 @@
 namespace splab
 {
 
-/** Nearest-centroid scan strategy of the clustering kernels.  Both
- *  produce bit-identical results; they differ only in work done. */
-enum class DistanceKernel
-{
-    Pruned,    ///< triangle-inequality bounds (see file comment)
-    BruteForce ///< every candidate distance computed
-};
+/** Nearest-centroid scan strategy; both give bit-identical results. */
+enum class DistanceKernel { Pruned, BruteForce };
 
 /** Outcome of one k-means fit. */
 struct KMeansResult
@@ -116,8 +111,7 @@ class NearestCentroids
      *  @param kernel    BruteForce = plain scans (no table)
      *  @param stats     when non-null, receives the table build's
      *                   distance evaluations */
-    NearestCentroids(const DenseMatrix &centroids,
-                     DistanceKernel kernel,
+    NearestCentroids(const DenseMatrix &centroids, DistanceKernel kernel,
                      DistanceKernelStats *stats = nullptr);
 
     /** Nearest centroid of @p p (dim = centroids.cols()) under the

@@ -105,8 +105,7 @@ struct SimPointResult
  *
  * @param bbvs   one BBV per slice, in slice order
  * @param cfg    methodology knobs
- * @param kernel nearest-centroid scan strategy (bit-identical
- *               results either way; see kmeans.hh)
+ * @param kernel nearest-centroid scan strategy (see kmeans.hh)
  */
 SimPointResult pickSimPoints(
     const std::vector<FrequencyVector> &bbvs, const SimPointConfig &cfg,
