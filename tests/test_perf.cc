@@ -133,7 +133,7 @@ proofMachines()
  *  whole run's timing view. */
 PerfCounters
 fusedNative(const BenchmarkSpec &s, const MachineConfig &machine,
-            const HierarchyConfig &allcache, u64 runIndex = 0)
+            const HierarchyConfig &allcache, u64 runIndex)
 {
     FusedWholeResult r = measureWholeFused(s, allcache, machine);
     return NativeMachine().observe(timingStats(r.timing),
@@ -144,7 +144,7 @@ fusedNative(const BenchmarkSpec &s, const MachineConfig &machine,
  *  are read from the timing hierarchy's own L3 statistics. */
 PerfCounters
 dedicatedNative(const BenchmarkSpec &s, const MachineConfig &machine,
-                u64 runIndex = 0)
+                u64 runIndex)
 {
     SyntheticWorkload wl(s);
     IntervalCoreTool core(machine);
