@@ -50,18 +50,26 @@ harvestCache(const AllCacheTool &cache, const LdStMixTool &mix,
     return m;
 }
 
+/** The one field list shared by TimingStats and TimingRunMetrics. */
+template <typename Dst, typename Src>
+Dst
+copyTimingCounters(const Src &s)
+{
+    Dst d;
+    d.instrs = s.instrs;
+    d.cycles = s.cycles;
+    d.branches = s.branches;
+    d.mispredicts = s.mispredicts;
+    d.l2Hits = s.l2Hits;
+    d.l3Hits = s.l3Hits;
+    d.memAccesses = s.memAccesses;
+    return d;
+}
+
 TimingRunMetrics
 harvestTiming(const IntervalCoreTool &core, double wallSeconds)
 {
-    const TimingStats &t = core.stats();
-    TimingRunMetrics m;
-    m.instrs = t.instrs;
-    m.cycles = t.cycles;
-    m.branches = t.branches;
-    m.mispredicts = t.mispredicts;
-    m.l2Hits = t.l2Hits;
-    m.l3Hits = t.l3Hits;
-    m.memAccesses = t.memAccesses;
+    auto m = copyTimingCounters<TimingRunMetrics>(core.stats());
     m.wallSeconds = wallSeconds;
     return m;
 }
@@ -71,15 +79,7 @@ harvestTiming(const IntervalCoreTool &core, double wallSeconds)
 TimingStats
 timingStats(const TimingRunMetrics &m)
 {
-    TimingStats t;
-    t.instrs = m.instrs;
-    t.cycles = m.cycles;
-    t.branches = m.branches;
-    t.mispredicts = m.mispredicts;
-    t.l2Hits = m.l2Hits;
-    t.l3Hits = m.l3Hits;
-    t.memAccesses = m.memAccesses;
-    return t;
+    return copyTimingCounters<TimingStats>(m);
 }
 
 CacheRunMetrics

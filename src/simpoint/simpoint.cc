@@ -401,8 +401,7 @@ pickSimPoints(const std::vector<FrequencyVector> &bbvs,
 
 SimPointResult
 pickSimPointsForcedK(const std::vector<FrequencyVector> &bbvs,
-                     const SimPointConfig &cfg, u32 k,
-                     DistanceKernel kernel)
+                     const SimPointConfig &cfg, u32 k)
 {
     SPLAB_ASSERT(!bbvs.empty(), "simpoint: no slices");
     SPLAB_ASSERT(k >= 1, "simpoint: forced k must be >= 1");
@@ -411,8 +410,9 @@ pickSimPointsForcedK(const std::vector<FrequencyVector> &bbvs,
 
     KMeansResult fit =
         kmeansBestOf(in.sample, k, hashCombine(cfg.seed, k),
-                     cfg.restarts, cfg.maxIters, kernel);
-    SimPointResult out = finalize(fit, in.projected, cfg, kernel);
+                     cfg.restarts, cfg.maxIters);
+    SimPointResult out =
+        finalize(fit, in.projected, cfg, DistanceKernel::Pruned);
     out.sweep.push_back({fit.k, bicScore(fit, in.sample),
                          fit.distortion,
                          fit.avgClusterVariance(in.sample)});

@@ -117,7 +117,7 @@ SimPointResult pickSimPoints(
  */
 SimPointResult pickSimPointsForcedK(
     const std::vector<FrequencyVector> &bbvs, const SimPointConfig &cfg,
-    u32 k, DistanceKernel kernel = DistanceKernel::Pruned);
+    u32 k);
 
 } // namespace splab
 
