@@ -32,73 +32,20 @@ class LocalBackend : public ArtifactBackend
         CacheOutcome got = cache->load(req.family, req.key);
         if (!got.hit())
             return false;
-        if (!req.shared) {
-            out = got->getRaw(got->remaining());
-            return true;
-        }
-        return assembleShared(*got, out);
-    }
-
-    void
-    publish(const ArtifactRequest &req, const std::vector<u8> &bytes,
-            const std::vector<std::pair<std::size_t, std::size_t>>
-                &sharedRanges) override
-    {
-        if (!req.shared) {
-            ByteWriter w;
-            w.putRaw(bytes.data(), bytes.size());
-            cache->store(req.family, req.key, w);
-            return;
-        }
-        // Ref blob: sub-blob count + content hashes.  The sub-blobs
-        // dedup against any already-stored identical bytes (the
-        // fused node and its projections address the same ones), and
-        // the hash list rides into the cache index so eviction can
-        // ref-count them.
-        ByteWriter ref;
-        std::vector<u64> hashes;
-        hashes.reserve(sharedRanges.size());
-        ref.put<u64>(sharedRanges.size());
-        for (auto [off, len] : sharedRanges) {
-            u64 h = cache->storeShared(bytes.data() + off, len);
-            ref.put<u64>(h);
-            hashes.push_back(h);
-        }
-        cache->store(req.family, req.key, ref, hashes);
-    }
-
-  private:
-    /**
-     * Materialize a shared-kind artifact from its ref blob: read the
-     * sub-blob content hashes, load each shared sub-blob and
-     * concatenate their raw bytes.  Returns false (after bumping
-     * "graph.shared_blob_fallbacks") when any sub-blob is missing or
-     * corrupt — the caller then recomputes and re-publishes, which
-     * heals the damaged sub-blob file.
-     */
-    bool
-    assembleShared(ByteReader &ref, std::vector<u8> &out)
-    {
-        static obs::Counter &fallbacks = obs::counter(
-            "graph.shared_blob_fallbacks",
-            "shared-blob refs with a missing or corrupt sub-blob "
-            "(artifact recomputed)");
-
-        u64 n = ref.get<u64>();
-        out.clear();
-        for (u64 i = 0; i < n; ++i) {
-            u64 h = ref.get<u64>();
-            CacheOutcome sub = cache->loadShared(h);
-            if (!sub.hit()) {
-                fallbacks.add();
-                return false;
-            }
-            std::vector<u8> bytes = sub->getRaw(sub->remaining());
-            out.insert(out.end(), bytes.begin(), bytes.end());
-        }
+        out = got->getRaw(got->remaining());
         return true;
     }
 
+    void
+    publish(const ArtifactRequest &req,
+            const std::vector<u8> &bytes) override
+    {
+        ByteWriter w;
+        w.putRaw(bytes.data(), bytes.size());
+        cache->store(req.family, req.key, w);
+    }
+
+  private:
     std::shared_ptr<const ArtifactCache> cache;
 };
 
@@ -165,13 +112,12 @@ class RemoteBackend : public ArtifactBackend
     }
 
     void
-    publish(const ArtifactRequest &req, const std::vector<u8> &bytes,
-            const std::vector<std::pair<std::size_t, std::size_t>>
-                &sharedRanges) override
+    publish(const ArtifactRequest &req,
+            const std::vector<u8> &bytes) override
     {
         // The daemon persists its own computations; a client only
         // publishes into its local cache (a no-op when disabled).
-        local->publish(req, bytes, sharedRanges);
+        local->publish(req, bytes);
     }
 
   private:

@@ -7,10 +7,8 @@
  * and "here are freshly computed bytes, keep them".  This seam
  * abstracts *where* those bytes live:
  *
- *  - LocalBackend (makeLocalBackend): today's path — the on-disk
- *    ArtifactCache, including assembly of shared-kind artifacts from
- *    their content-addressed sub-blobs (and the recompute-and-heal
- *    fallback when a sub-blob is missing or corrupt).
+ *  - LocalBackend (makeLocalBackend): the on-disk ArtifactCache,
+ *    one blob per artifact holding its serialized bytes.
  *  - RemoteBackend: a splabd service client.  fetch() asks the
  *    daemon to materialize the artifact (the daemon computes on a
  *    cold cache, coalescing identical requests from *all* clients
@@ -34,7 +32,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "artifact_graph.hh"
@@ -49,7 +46,6 @@ struct ArtifactRequest
     ArtifactKind kind = ArtifactKind::Spec;
     std::string family;    ///< blob family, strategy-qualified
     u64 key = 0;           ///< Merkle disk-cache key
-    bool shared = false;   ///< persisted as a shared-sub-blob ref
 };
 
 /** Where persisted artifacts are fetched from / published to. */
@@ -67,23 +63,15 @@ class ArtifactBackend
 
     /**
      * Try to materialize the *serialized artifact payload* (the
-     * bytes serializeArtifact produced, after any shared-sub-blob
-     * assembly — never a raw ref blob) into @p out.
+     * bytes serializeArtifact produced) into @p out.
      * @return true on success; false means "compute it yourself".
      */
     virtual bool fetch(const ArtifactRequest &req,
                        std::vector<u8> &out) = 0;
 
-    /**
-     * Persist freshly computed serialized bytes.  @p sharedRanges
-     * lists the (offset, length) shareable components for shared
-     * kinds (empty for inline kinds); the backend stores each range
-     * as a content-addressed sub-blob plus a ref blob naming them.
-     */
-    virtual void
-    publish(const ArtifactRequest &req, const std::vector<u8> &bytes,
-            const std::vector<std::pair<std::size_t, std::size_t>>
-                &sharedRanges) = 0;
+    /** Persist freshly computed serialized bytes. */
+    virtual void publish(const ArtifactRequest &req,
+                         const std::vector<u8> &bytes) = 0;
 };
 
 /** Today's behaviour: resolve against @p cache only. */

@@ -24,7 +24,7 @@ namespace
 {
 
 constexpr u64 kIndexMagic = 0x53504c4142494458ULL; // "SPLABIDX"
-constexpr u32 kIndexVersion = 1;
+constexpr u32 kIndexVersion = 2;
 
 /**
  * True when @p dir accepts new files.  std::filesystem permission
@@ -113,19 +113,11 @@ bytesEvictedCounter()
                         "bytes reclaimed by cache eviction");
 }
 
-obs::Counter &
-sharedReclaimedCounter()
-{
-    return obs::counter("artifact_cache.shared_blobs_reclaimed",
-                        "shared sub-blobs reclaimed after their last "
-                        "referencing artifact was evicted");
-}
-
 obs::Gauge &
 residentGauge()
 {
     return obs::gauge("artifact_cache.resident_bytes",
-                      "indexed artifact + shared sub-blob bytes");
+                      "indexed artifact blob bytes");
 }
 
 } // namespace
@@ -141,12 +133,10 @@ struct ArtifactCache::IndexState
     {
         u64 size = 0;    ///< blob file bytes (payload + checksum)
         u64 lastUse = 0; ///< logical stamp, bumped on load/store
-        std::vector<std::string> refFiles; ///< shared files referenced
     };
 
     std::mutex mtx;
     std::map<std::string, Entry> entries; ///< artifact blobs, by name
-    std::map<std::string, u64> shared;    ///< shared sub-blob sizes
     u64 stamp = 0; ///< logical clock for last-use ordering
 
     u64
@@ -155,8 +145,6 @@ struct ArtifactCache::IndexState
         u64 total = 0;
         for (const auto &kv : entries)
             total += kv.second.size;
-        for (const auto &kv : shared)
-            total += kv.second;
         return total;
     }
 };
@@ -193,12 +181,8 @@ ArtifactCache::ArtifactCache(std::string dir, u64 maxBytes)
                  "bytes loaded from cache blobs");
     obs::counter("artifact_cache.bytes_written",
                  "bytes stored into cache blobs");
-    obs::counter("artifact_cache.blob_share_hits",
-                 "shared sub-blob stores satisfied by an existing "
-                 "identical blob");
     evictionsCounter();
     bytesEvictedCounter();
-    sharedReclaimedCounter();
     residentGauge();
 
     if (root.empty())
@@ -242,16 +226,6 @@ ArtifactCache::path(const std::string &kind, u64 key) const
     return root + "/" + kind + "-" + hex + ".bin";
 }
 
-std::string
-ArtifactCache::sharedFileName(u64 contentHash) const
-{
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(
-                      hashCombine(contentHash, kVersionSalt)));
-    return std::string("shared-") + hex + ".bin";
-}
-
 // --- persistent index ------------------------------------------------
 
 void
@@ -266,14 +240,6 @@ ArtifactCache::indexSaveLocked(const IndexState &st) const
         w.putString(kv.first);
         w.put<u64>(kv.second.size);
         w.put<u64>(kv.second.lastUse);
-        w.put<u32>(static_cast<u32>(kv.second.refFiles.size()));
-        for (const auto &ref : kv.second.refFiles)
-            w.putString(ref);
-    }
-    w.put<u32>(static_cast<u32>(st.shared.size()));
-    for (const auto &kv : st.shared) {
-        w.putString(kv.first);
-        w.put<u64>(kv.second);
     }
 
     // tmp + rename so a reader (or a crash) never sees a torn index.
@@ -297,7 +263,6 @@ void
 ArtifactCache::indexRebuildLocked(IndexState &st) const
 {
     st.entries.clear();
-    st.shared.clear();
     st.stamp = 0;
     std::error_code ec;
     std::filesystem::directory_iterator it(root, ec), end;
@@ -310,53 +275,31 @@ ArtifactCache::indexRebuildLocked(IndexState &st) const
             name.find(".tmp.") != std::string::npos ||
             name.rfind(".", 0) == 0)
             continue;
-        u64 size = fileSizeOr0(it->path().string());
-        if (name.rfind("shared-", 0) == 0) {
-            st.shared[name] = size;
-        } else {
-            // Shared references are unknowable without decoding the
-            // blob, so leave them empty: after a rebuild, shared
-            // sub-blobs are conservatively never reclaimed.
-            st.entries[name] =
-                IndexState::Entry{size, ++st.stamp, {}};
-        }
+        st.entries[name] = IndexState::Entry{
+            fileSizeOr0(it->path().string()), ++st.stamp};
     }
 }
 
 void
 ArtifactCache::indexLoadLocked(IndexState &st) const
 {
-    std::string p = root + "/index.bin";
-    if (!ByteReader::probeFile(p)) {
-        indexRebuildLocked(st);
-        return;
-    }
-    ByteReader r = ByteReader::loadFile(p);
-    if (r.remaining() < sizeof(u64) + sizeof(u32) ||
-        r.get<u64>() != kIndexMagic ||
-        r.get<u32>() != kIndexVersion) {
+    std::optional<ByteReader> r =
+        ByteReader::tryLoadFile(root + "/index.bin");
+    if (!r || r->remaining() < sizeof(u64) + sizeof(u32) ||
+        r->get<u64>() != kIndexMagic ||
+        r->get<u32>() != kIndexVersion) {
         indexRebuildLocked(st);
         return;
     }
     st.entries.clear();
-    st.shared.clear();
-    st.stamp = r.get<u64>();
-    u32 nEntries = r.get<u32>();
+    st.stamp = r->get<u64>();
+    u32 nEntries = r->get<u32>();
     for (u32 i = 0; i < nEntries; ++i) {
-        std::string name = r.getString();
+        std::string name = r->getString();
         IndexState::Entry e;
-        e.size = r.get<u64>();
-        e.lastUse = r.get<u64>();
-        u32 nRefs = r.get<u32>();
-        e.refFiles.reserve(nRefs);
-        for (u32 j = 0; j < nRefs; ++j)
-            e.refFiles.push_back(r.getString());
-        st.entries.emplace(std::move(name), std::move(e));
-    }
-    u32 nShared = r.get<u32>();
-    for (u32 i = 0; i < nShared; ++i) {
-        std::string name = r.getString();
-        st.shared[name] = r.get<u64>();
+        e.size = r->get<u64>();
+        e.lastUse = r->get<u64>();
+        st.entries.emplace(std::move(name), e);
     }
 }
 
@@ -379,37 +322,11 @@ ArtifactCache::evictLocked(IndexState &st,
         }
         if (victim == st.entries.end())
             break; // nothing evictable (only the protected blob)
-        std::vector<std::string> refs =
-            std::move(victim->second.refFiles);
         u64 freed = victim->second.size;
         std::error_code ec;
         std::filesystem::remove(root + "/" + victim->first, ec);
         st.entries.erase(victim);
         evictionsCounter().add();
-        // Release the victim's shared references: a sub-blob goes
-        // only when no surviving artifact still lists it.
-        for (const auto &ref : refs) {
-            bool stillReferenced = false;
-            for (const auto &kv : st.entries) {
-                for (const auto &other : kv.second.refFiles) {
-                    if (other == ref) {
-                        stillReferenced = true;
-                        break;
-                    }
-                }
-                if (stillReferenced)
-                    break;
-            }
-            if (stillReferenced)
-                continue;
-            auto sh = st.shared.find(ref);
-            if (sh == st.shared.end())
-                continue;
-            freed += sh->second;
-            std::filesystem::remove(root + "/" + sh->first, ec);
-            st.shared.erase(sh);
-            sharedReclaimedCounter().add();
-        }
         bytesEvictedCounter().add(freed);
         resident = resident > freed ? resident - freed : 0;
     }
@@ -445,7 +362,6 @@ ArtifactCache::evictToBytes(u64 targetBytes) const
     indexSaveLocked(*idx);
     residentGauge().set(idx->residentBytes());
     u.artifacts = idx->entries.size();
-    u.sharedBlobs = idx->shared.size();
     u.residentBytes = idx->residentBytes();
     return u;
 }
@@ -458,7 +374,6 @@ ArtifactCache::usage() const
         return u;
     std::lock_guard<std::mutex> g(idx->mtx);
     u.artifacts = idx->entries.size();
-    u.sharedBlobs = idx->shared.size();
     u.residentBytes = idx->residentBytes();
     return u;
 }
@@ -485,7 +400,12 @@ ArtifactCache::load(const std::string &kind, u64 key) const
         return out;
     }
     std::string p = path(kind, key);
-    if (!ByteReader::probeFile(p)) {
+    // One read that also verifies: a concurrent store() of the same
+    // key replaces the file by rename, so this sees either the old
+    // or the new blob whole, never a check on one and a read of the
+    // other.
+    out.blob = ByteReader::tryLoadFile(p);
+    if (!out.blob) {
         std::error_code ec;
         if (std::filesystem::exists(p, ec) && !ec) {
             corrupt.add();
@@ -498,138 +418,57 @@ ArtifactCache::load(const std::string &kind, u64 key) const
         }
         return out;
     }
-    out.blob = ByteReader::loadFile(p);
     hits.add();
     bytesRead.add(out.blob->remaining());
     out.status = CacheStatus::Hit;
     // Refresh the last-use stamp so LRU eviction sees live blobs.
-    // Shared sub-blobs are governed by ref-counts, not recency.
-    if (kind != "shared") {
-        std::string name =
-            std::filesystem::path(p).filename().string();
-        u64 size = fileSizeOr0(p);
-        indexMutate([&](IndexState &st) {
-            auto it = st.entries.find(name);
-            if (it == st.entries.end())
-                it = st.entries
-                         .emplace(name,
-                                  IndexState::Entry{size, 0, {}})
-                         .first;
-            it->second.lastUse = ++st.stamp;
-        });
-    }
+    std::string name = std::filesystem::path(p).filename().string();
+    u64 size = fileSizeOr0(p);
+    indexMutate([&](IndexState &st) {
+        auto it = st.entries.emplace(name, IndexState::Entry{size, 0})
+                      .first;
+        it->second.lastUse = ++st.stamp;
+    });
     return out;
 }
 
 void
 ArtifactCache::store(const std::string &kind, u64 key,
-                     const ByteWriter &blob,
-                     const std::vector<u64> &sharedRefs) const
+                     const ByteWriter &blob) const
 {
     if (!enabled())
         return;
+    // Write a unique temp file, then rename it over the final path:
+    // saveFile truncates in place, so writing the final path directly
+    // could expose a torn blob to a concurrent reader or writer.
+    static std::atomic<u64> seq{0};
     std::string p = path(kind, key);
-    if (!blob.saveFile(p)) {
-        SPLAB_WARN("cannot write cache artifact ", p);
+    std::string tmp = p + ".tmp." +
+                      std::to_string(static_cast<long>(::getpid())) +
+                      "." + std::to_string(seq.fetch_add(1));
+    if (!blob.saveFile(tmp)) {
+        SPLAB_WARN("cannot write cache artifact ", tmp);
+        std::error_code ec;
+        std::filesystem::remove(tmp, ec);
+        return;
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, p, ec);
+    if (ec) {
+        SPLAB_WARN("cannot publish cache artifact ", p, ": ",
+                   ec.message());
+        std::filesystem::remove(tmp, ec);
         return;
     }
     obs::counter("artifact_cache.bytes_written")
         .add(blob.bytes().size());
     std::string name = std::filesystem::path(p).filename().string();
     u64 size = fileSizeOr0(p);
-    std::vector<std::string> refs;
-    refs.reserve(sharedRefs.size());
-    for (u64 h : sharedRefs)
-        refs.push_back(sharedFileName(h));
     indexMutate(
         [&](IndexState &st) {
-            st.entries[name] =
-                IndexState::Entry{size, ++st.stamp,
-                                  std::move(refs)};
+            st.entries[name] = IndexState::Entry{size, ++st.stamp};
         },
         name);
-}
-
-u64
-ArtifactCache::storeShared(const u8 *data, std::size_t size) const
-{
-    static obs::Counter &shareHits =
-        obs::counter("artifact_cache.blob_share_hits");
-
-    u64 h = hashBytes(data, size);
-    if (!enabled())
-        return h;
-    std::string p = root + "/" + sharedFileName(h);
-    if (ByteReader::probeFile(p)) {
-        shareHits.add();
-        return h;
-    }
-    // Either absent or corrupt; (re)write through a unique temp file
-    // + rename so a concurrent reader or writer of the same content
-    // never observes a torn blob.  saveFile itself is not atomic.
-    static std::atomic<u64> seq{0};
-    std::string tmp = p + ".tmp." +
-                      std::to_string(static_cast<long>(::getpid())) +
-                      "." + std::to_string(seq.fetch_add(1));
-    ByteWriter w;
-    w.putRaw(data, size);
-    if (!w.saveFile(tmp)) {
-        SPLAB_WARN("cannot write shared cache blob ", tmp);
-        return h;
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, p, ec);
-    if (ec) {
-        SPLAB_WARN("cannot publish shared cache blob ", p, ": ",
-                   ec.message());
-        std::filesystem::remove(tmp, ec);
-        return h;
-    }
-    obs::counter("artifact_cache.bytes_written").add(size);
-    std::string name = std::filesystem::path(p).filename().string();
-    u64 fsize = fileSizeOr0(p);
-    indexMutate([&](IndexState &st) { st.shared[name] = fsize; });
-    return h;
-}
-
-CacheOutcome
-ArtifactCache::loadShared(u64 contentHash) const
-{
-    static obs::Counter &hits = obs::counter("artifact_cache.hits");
-    static obs::Counter &misses =
-        obs::counter("artifact_cache.misses");
-    static obs::Counter &corrupt =
-        obs::counter("artifact_cache.corrupt");
-    static obs::Counter &disabled =
-        obs::counter("artifact_cache.disabled_lookups");
-    static obs::Counter &bytesRead =
-        obs::counter("artifact_cache.bytes_read");
-
-    CacheOutcome out;
-    if (!enabled()) {
-        disabled.add();
-        out.status = CacheStatus::Disabled;
-        return out;
-    }
-    std::string p = root + "/" + sharedFileName(contentHash);
-    if (!ByteReader::probeFile(p)) {
-        std::error_code ec;
-        if (std::filesystem::exists(p, ec) && !ec) {
-            corrupt.add();
-            SPLAB_WARN("corrupt cache blob ", p,
-                       "; recomputing artifact");
-            out.status = CacheStatus::Corrupt;
-        } else {
-            misses.add();
-            out.status = CacheStatus::Miss;
-        }
-        return out;
-    }
-    out.blob = ByteReader::loadFile(p);
-    hits.add();
-    bytesRead.add(out.blob->remaining());
-    out.status = CacheStatus::Hit;
-    return out;
 }
 
 } // namespace splab

@@ -15,23 +15,21 @@
  *
  * Cache hygiene (the part that matters at fleet scale):
  *
- *  - A persistent index ("index.bin": per-blob size, logical
- *    last-use stamp and shared-blob references) is maintained
- *    incrementally on every load/store, so size accounting and
- *    eviction decisions never scan the directory.  A missing or
- *    corrupt index is rebuilt from one directory scan (last-use
- *    stamps reset, shared references conservatively unknown).
+ *  - Every blob is published through a unique temp file and an
+ *    atomic rename, so a reader (or a concurrent writer of the same
+ *    key, in this process or another) never sees a torn blob.  A
+ *    load reads the file once and verifies the bytes it returns.
+ *  - A persistent index ("index.bin": per-blob size and logical
+ *    last-use stamp) is maintained incrementally on every
+ *    load/store, so size accounting and eviction decisions never
+ *    scan the directory.  A missing, corrupt or older-version index
+ *    is rebuilt from one directory scan (last-use stamps reset).
  *    Cross-process index mutations serialize through an flock'd
  *    read-modify-write with an atomic tmp+rename publish.
  *  - When SPLAB_CACHE_MAX_BYTES (or the maxBytes constructor
- *    argument) is non-zero, stores that push the resident bytes
- *    (artifact blobs + shared sub-blobs) over the budget evict
- *    least-recently-used artifacts until the budget holds.
- *  - Shared sub-blobs ("shared-<hash>.bin", see storeShared) are
- *    ref-counted through the index: evicting an artifact releases
- *    its references, and a sub-blob file is reclaimed only when the
- *    last artifact referencing it goes — never while a surviving
- *    ref blob still points at it.
+ *    argument) is non-zero, stores that push the resident blob bytes
+ *    over the budget evict least-recently-used blobs until the
+ *    budget holds.
  *  - Hit/miss/eviction/byte counters ("artifact_cache.*") register
  *    eagerly at construction so every run manifest carries the full
  *    family even when a count is zero.
@@ -44,7 +42,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "support/serialize.hh"
 
@@ -79,8 +76,7 @@ struct CacheOutcome
 struct CacheUsage
 {
     u64 artifacts = 0;     ///< indexed artifact blobs
-    u64 sharedBlobs = 0;   ///< indexed shared sub-blobs
-    u64 residentBytes = 0; ///< artifact + shared payload bytes
+    u64 residentBytes = 0; ///< indexed blob file bytes
 };
 
 /** Content-addressed blob store under one directory. */
@@ -115,44 +111,20 @@ class ArtifactCache
      */
     CacheOutcome load(const std::string &kind, u64 key) const;
 
-    /** Store a blob (no-op when disabled).  @p sharedRefs lists the
-     *  content hashes of the shared sub-blobs a ref blob points at
-     *  (empty for inline artifacts); the index ref-counts them so
-     *  eviction can reclaim a sub-blob exactly when its last
-     *  referencing artifact goes. */
+    /** Store a blob (no-op when disabled), replacing any previous
+     *  blob under the same key atomically. */
     void store(const std::string &kind, u64 key,
-               const ByteWriter &blob,
-               const std::vector<u64> &sharedRefs = {}) const;
-
-    /**
-     * Store @p size bytes as a content-addressed *shared sub-blob*
-     * (file "shared-<hex>.bin", named by the content hash alone) and
-     * return that content hash.  If a checksum-valid blob with the
-     * same content already exists the write is skipped and the
-     * "artifact_cache.blob_share_hits" counter bumped — this is how
-     * artifacts that embed identical byte ranges (the fused whole-run
-     * node and its cache/timing projections) share storage instead of
-     * double-storing.  A present-but-corrupt file is rewritten
-     * (healing).  Writes go through a temp file + atomic rename so
-     * concurrent writers of the same content can never expose a torn
-     * blob.  No-op (but still returns the hash) when disabled.
-     */
-    u64 storeShared(const u8 *data, std::size_t size) const;
-
-    /** Look up the shared sub-blob with content hash @p contentHash;
-     *  outcome semantics identical to load(). */
-    CacheOutcome loadShared(u64 contentHash) const;
+               const ByteWriter &blob) const;
 
     /** Occupancy according to the in-memory index view. */
     CacheUsage usage() const;
 
     /**
      * Evict least-recently-used artifacts until the resident bytes
-     * (artifact blobs + shared sub-blobs) fit @p targetBytes,
-     * regardless of the construction-time budget; 0 evicts
-     * everything evictable.  This is the admin hook behind
-     * `splabd --evict`.  Runs under the same in-process mutex and
-     * cross-process file lock as any index mutation.
+     * fit @p targetBytes, regardless of the construction-time
+     * budget; 0 evicts everything evictable.  This is the admin hook
+     * behind `splabd --evict`.  Runs under the same in-process mutex
+     * and cross-process file lock as any index mutation.
      * @return post-eviction occupancy.
      */
     CacheUsage evictToBytes(u64 targetBytes) const;
@@ -168,7 +140,6 @@ class ArtifactCache
                        // so the cache stays movable
 
     std::string path(const std::string &kind, u64 key) const;
-    std::string sharedFileName(u64 contentHash) const;
 
     /** Run @p apply on the index under the in-process mutex and the
      *  cross-process file lock: reload the on-disk index (disk is

@@ -32,13 +32,6 @@ static_assert(sizeof(LevelCounts) == 16);
 static_assert(sizeof(CacheRunMetrics) == 120);
 static_assert(sizeof(TimingRunMetrics) == 64);
 static_assert(sizeof(FusedWholeMetrics) == 184);
-// The blob-sharing scheme (see sharedRanges below) depends on the
-// fused struct being the exact byte-wise concatenation of its two
-// views, with no padding between or after them.
-static_assert(sizeof(FusedWholeMetrics) ==
-              sizeof(CacheRunMetrics) + sizeof(TimingRunMetrics));
-static_assert(offsetof(FusedWholeMetrics, timing) ==
-              sizeof(CacheRunMetrics));
 static_assert(sizeof(PointCacheMetrics) == 128);
 static_assert(sizeof(PointTimingMetrics) == 72);
 static_assert(sizeof(PerfCounters) == 48);
@@ -52,9 +45,6 @@ struct KindInfo
      *  algorithm or serialized layout of this kind changes. */
     u64 salt;
     bool persisted;
-    /** Persisted as a *ref blob* over content-addressed shared
-     *  sub-blobs instead of inline bytes (see ensure()). */
-    bool shared;
     std::vector<ArtifactKind> deps;
 };
 
@@ -62,12 +52,11 @@ const KindInfo &
 kindInfo(ArtifactKind k)
 {
     static const std::array<KindInfo, kNumArtifactKinds> table = {{
-        {"spec", "graph.spec", 0x7370656300000001ULL, false, false,
-         {}},
+        {"spec", "graph.spec", 0x7370656300000001ULL, false, {}},
         {"bbvprofile", "graph.bbv_profile", 0x6262767000000001ULL,
-         false, false, {ArtifactKind::Spec}},
+         false, {ArtifactKind::Spec}},
         {"simpoints", "graph.simpoints", 0x73696d7000000001ULL,
-         true, false, {ArtifactKind::BbvProfile}},
+         true, {ArtifactKind::BbvProfile}},
         // Strategy-selected regions.  Deps are {BbvProfile} even
         // though the simpoint strategy's compute routes through the
         // SimPoints node: the *value* is a pure function of the BBV
@@ -76,44 +65,39 @@ kindInfo(ArtifactKind k)
         // (SamplingConfig::activeHash).  The blob family is
         // per-strategy ("regions_smarts", ...) — see blobFamily().
         {"regions", "graph.regions", 0x7267696f00000001ULL, true,
-         false, {ArtifactKind::BbvProfile}},
-        // Persisted via shared sub-blobs: the fused value is the
-        // byte-wise concatenation of the cache and timing views, and
-        // the projection ref-blobs point at those same sub-blobs, so
-        // persisting it costs one small ref blob — no double-stored
-        // metric bytes — and a warm bench run skips the fused
-        // traversal entirely.  Salt bumped (..01 -> ..02) when the
-        // node became persisted/shared.
-        {"wholefused", "graph.whole_fused", 0x7766757300000002ULL,
-         true, true, {ArtifactKind::Spec}},
+         {ArtifactKind::BbvProfile}},
+        // Persisted so a warm bench run skips the fused traversal
+        // entirely.  Salt bumped (..01 -> ..02) when the node became
+        // persisted, then (..02 -> ..03) when the blob went from a
+        // ref over shared sub-blobs back to inline metric bytes, so
+        // an old ref blob is never decoded as metrics.
+        {"wholefused", "graph.whole_fused", 0x7766757300000003ULL,
+         true, {ArtifactKind::Spec}},
         // Salts bumped (..01 -> ..02) with the fused-traversal
         // rewrite so pre-fusion blobs are never mixed with
-        // post-fusion ones, then (..02 -> ..03) when the persisted
-        // layout changed from inline metric bytes to a shared-blob
-        // ref.
-        {"wholecache", "graph.whole_cache", 0x7763616300000003ULL,
-         true, true, {ArtifactKind::Spec}},
-        {"wholetiming", "graph.whole_timing", 0x7774696d00000003ULL,
-         true, true, {ArtifactKind::Spec}},
+        // post-fusion ones, (..02 -> ..03) when the blob became a
+        // shared-sub-blob ref, and (..03 -> ..04) when it went back
+        // to inline metric bytes.
+        {"wholecache", "graph.whole_cache", 0x7763616300000004ULL,
+         true, {ArtifactKind::Spec}},
+        {"wholetiming", "graph.whole_timing", 0x7774696d00000004ULL,
+         true, {ArtifactKind::Spec}},
         // Salt bumped (..01 -> ..02) when the capture moved from the
         // SimPoints selection to the strategy-generic Regions node
         // (regions gained lengths and warm-up prescriptions).
         {"regionalpinball", "graph.regional_pinball",
-         0x7270696e00000002ULL, false, false,
+         0x7270696e00000002ULL, false,
          {ArtifactKind::Spec, ArtifactKind::Regions}},
         {"pointscold", "graph.points_cache_cold",
-         0x70636f6c00000001ULL, true, false,
-         {ArtifactKind::RegionalPinball}},
+         0x70636f6c00000001ULL, true, {ArtifactKind::RegionalPinball}},
         {"pointswarm", "graph.points_cache_warm",
-         0x7077726d00000001ULL, true, false,
-         {ArtifactKind::RegionalPinball}},
+         0x7077726d00000001ULL, true, {ArtifactKind::RegionalPinball}},
         // Computed from WholeFused, but its deps and slice describe
         // the value: a pure function of the spec and the machine.
         {"native", "graph.native", 0x6e61746900000001ULL, true,
-         false, {ArtifactKind::Spec}},
+         {ArtifactKind::Spec}},
         {"pointstiming", "graph.points_timing",
-         0x7074696d00000001ULL, true, false,
-         {ArtifactKind::RegionalPinball}},
+         0x7074696d00000001ULL, true, {ArtifactKind::RegionalPinball}},
     }};
     return table[static_cast<u8>(k)];
 }
@@ -136,27 +120,6 @@ blobFamily(ArtifactKind kind, const ExperimentConfig &cfg)
     return family;
 }
 
-/**
- * Byte ranges of the shareable components of one serialized shared
- * artifact.  FusedWholeMetrics is serialized as raw struct bytes and
- * is (statically asserted) the padding-free concatenation of
- * CacheRunMetrics and TimingRunMetrics, so splitting it at the
- * member boundary yields exactly the projections' serialized bytes —
- * the fused node and both projections address the same two
- * sub-blobs.
- */
-std::vector<std::pair<std::size_t, std::size_t>>
-sharedRanges(ArtifactKind k, std::size_t totalSize)
-{
-    if (k == ArtifactKind::WholeFused) {
-        SPLAB_ASSERT(totalSize == sizeof(FusedWholeMetrics),
-                     "unexpected fused blob size ", totalSize);
-        return {{0, sizeof(CacheRunMetrics)},
-                {sizeof(CacheRunMetrics), sizeof(TimingRunMetrics)}};
-    }
-    return {{0, totalSize}};
-}
-
 } // namespace
 
 const char *
@@ -175,12 +138,6 @@ bool
 artifactKindPersisted(ArtifactKind k)
 {
     return kindInfo(k).persisted;
-}
-
-bool
-artifactKindShared(ArtifactKind k)
-{
-    return kindInfo(k).shared;
 }
 
 u64
@@ -782,14 +739,12 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
     try {
         obs::TraceSpan span(info.spanName);
         bool loaded = false;
-        ArtifactRequest req{name, kind, blobFamily(kind, cfg), 0,
-                            info.shared};
+        ArtifactRequest req{name, kind, blobFamily(kind, cfg), 0};
         // The backend seam (artifact_backend.hh) decides *where*
-        // persisted bytes come from: the local ArtifactCache
-        // (including shared-sub-blob assembly) or a splabd daemon
-        // with local fallback.  Either way fetch yields exactly the
-        // serializeArtifact payload, so the value round-trips
-        // identically.
+        // persisted bytes come from: the local ArtifactCache or a
+        // splabd daemon with local fallback.  Either way fetch
+        // yields exactly the serializeArtifact payload, so the value
+        // round-trips identically.
         if (info.persisted && backend->active()) {
             req.key = artifactKey(name, kind);
             std::vector<u8> bytes;
@@ -806,13 +761,7 @@ ArtifactGraph::ensure(const std::string &name, ArtifactKind kind)
             if (info.persisted && backend->active()) {
                 ByteWriter w;
                 serializeArtifact(w, v);
-                backend->publish(
-                    req, w.bytes(),
-                    info.shared
-                        ? sharedRanges(kind, w.bytes().size())
-                        : std::vector<
-                              std::pair<std::size_t,
-                                        std::size_t>>{});
+                backend->publish(req, w.bytes());
             }
         }
     } catch (...) {

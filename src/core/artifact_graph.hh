@@ -47,14 +47,11 @@
  * ("regions_simpoint", "regions_smarts", ...), so per-strategy
  * selections coexist in one cache directory.
  *
- * Blob sharing: the fused node and both projections persist as small
- * *ref blobs* naming content-addressed shared sub-blobs (the fused
- * serialization is the exact concatenation of the two projection
- * serializations, so all three address the same two sub-blob files —
- * no metric byte is stored twice).  A warm run therefore serves
- * WholeFused from disk and skips the fused traversal entirely; a
- * missing or corrupt sub-blob degrades to recompute-and-heal, never
- * a crash.  See DESIGN.md section 10.
+ * Persistence: every persisted kind, the fused node and its two
+ * projections included, is one inline blob of its serialized bytes.
+ * A warm run therefore serves WholeFused from disk and skips the
+ * fused traversal entirely; a missing or corrupt blob degrades to
+ * recompute-and-heal, never a crash.  See DESIGN.md section 10.
  *
  * Scheduling: accessors compute lazily with single-flight per node
  * (concurrent requests for the same node block until the one
@@ -259,11 +256,6 @@ const std::vector<ArtifactKind> &artifactKindDeps(ArtifactKind k);
 /** Whether this kind is persisted in the on-disk artifact cache
  *  (cheap or upstream-only kinds stay memory-resident). */
 bool artifactKindPersisted(ArtifactKind k);
-
-/** Whether this kind persists as a ref blob over content-addressed
- *  shared sub-blobs (WholeFused and its two projections, which all
- *  address the same metric bytes) rather than inline bytes. */
-bool artifactKindShared(ArtifactKind k);
 
 /** Per-node version salt (bump on algorithm/layout change). */
 u64 artifactKindSalt(ArtifactKind k);

@@ -175,17 +175,16 @@ ServiceClient::evict(u64 targetBytes) const
     std::vector<u8> payload;
     if (!roundTrip(req, h, &payload) || h.status != Status::Ok)
         return std::nullopt;
-    // Payload: four u64s (before, after, artifacts, shared) —
-    // decoded defensively like any other wire data.
+    // Payload: three u64s (before, after, artifacts) — decoded
+    // defensively like any other wire data.
     EvictOutcome out;
-    u64 fields[4] = {0, 0, 0, 0};
+    u64 fields[3] = {0, 0, 0};
     if (payload.size() != sizeof(fields))
         return std::nullopt;
     std::memcpy(fields, payload.data(), sizeof(fields));
     out.residentBefore = fields[0];
     out.residentAfter = fields[1];
     out.artifacts = fields[2];
-    out.sharedBlobs = fields[3];
     return out;
 }
 

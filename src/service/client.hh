@@ -71,7 +71,6 @@ class ServiceClient
         u64 residentBefore = 0; ///< resident bytes pre-eviction
         u64 residentAfter = 0;  ///< resident bytes post-eviction
         u64 artifacts = 0;      ///< surviving artifact blobs
-        u64 sharedBlobs = 0;    ///< surviving shared sub-blobs
     };
 
     /** Ask the daemon to LRU-evict its cache down to

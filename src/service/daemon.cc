@@ -323,7 +323,6 @@ ServiceDaemon::serveEvict(int fd, const Request &req)
     put(before);
     put(after.residentBytes);
     put(after.artifacts);
-    put(after.sharedBlobs);
     sendOk(fd, payload);
 }
 

@@ -17,8 +17,8 @@
  *  - Evict: u64 targetBytes — evict least-recently-used artifacts
  *           from the daemon's cache until the resident bytes fit the
  *           target (0 = evict everything evictable).  The Ok payload
- *           is four u64s: resident bytes before, resident bytes
- *           after, artifacts after, shared sub-blobs after.
+ *           is three u64s: resident bytes before, resident bytes
+ *           after, artifacts after.
  *  - Ensure: string benchmark | u8 kind | u64 configHash |
  *            f64 scale | u32 configLen + configLen bytes (a
  *            serialized ExperimentConfig, see
@@ -62,7 +62,7 @@ namespace service
 {
 
 constexpr u32 kMagic = 0x53504c42; // "SPLB"
-constexpr u16 kWireVersion = 1;
+constexpr u16 kWireVersion = 2;
 constexpr u32 kMaxFrameBytes = 256u << 20;
 constexpr u32 kChunkBytes = 64u << 10;
 

@@ -102,16 +102,14 @@ runEvict(const std::string &socketPath, const char *bytesArg)
         return 1;
     }
     std::printf("evicted %llu bytes (%llu -> %llu resident, "
-                "%llu artifacts, %llu shared blobs remain)\n",
+                "%llu artifacts remain)\n",
                 static_cast<unsigned long long>(
                     outcome->residentBefore - outcome->residentAfter),
                 static_cast<unsigned long long>(
                     outcome->residentBefore),
                 static_cast<unsigned long long>(
                     outcome->residentAfter),
-                static_cast<unsigned long long>(outcome->artifacts),
-                static_cast<unsigned long long>(
-                    outcome->sharedBlobs));
+                static_cast<unsigned long long>(outcome->artifacts));
     return 0;
 }
 

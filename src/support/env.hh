@@ -30,12 +30,10 @@
  *                    core/artifact_backend.hh).  Unset/empty =
  *                    local-only (today's behaviour).
  *  - SPLAB_CACHE_MAX_BYTES: size budget for the on-disk artifact
- *                    cache.  When the resident bytes (artifact blobs
- *                    plus shared sub-blobs) exceed the budget after
- *                    a store, least-recently-used artifacts are
- *                    evicted; shared sub-blobs are ref-counted and
- *                    reclaimed only when their last referencing
- *                    artifact goes.  0 or unset = unbounded.
+ *                    cache.  When the resident blob bytes exceed the
+ *                    budget after a store, least-recently-used
+ *                    artifacts are evicted.  0 or unset =
+ *                    unbounded.
  */
 
 #ifndef SPLAB_SUPPORT_ENV_HH

@@ -62,31 +62,25 @@ ByteWriter::saveFile(const std::string &path) const
 ByteReader
 ByteReader::loadFile(const std::string &path)
 {
+    std::optional<ByteReader> r = tryLoadFile(path);
+    if (!r)
+        SPLAB_FATAL("cannot read file or checksum mismatch: ", path);
+    return std::move(*r);
+}
+
+std::optional<ByteReader>
+ByteReader::tryLoadFile(const std::string &path)
+{
     std::vector<u8> data;
-    if (!slurp(path, data))
-        SPLAB_FATAL("cannot read file: ", path);
-    if (data.size() < sizeof(u64))
-        SPLAB_FATAL("file too small to be valid: ", path);
+    if (!slurp(path, data) || data.size() < sizeof(u64))
+        return std::nullopt;
     u64 stored;
     std::memcpy(&stored, data.data() + data.size() - sizeof(u64),
                 sizeof(u64));
     data.resize(data.size() - sizeof(u64));
     if (stored != rawChecksum(data))
-        SPLAB_FATAL("checksum mismatch (corrupt file): ", path);
+        return std::nullopt;
     return ByteReader(std::move(data));
-}
-
-bool
-ByteReader::probeFile(const std::string &path)
-{
-    std::vector<u8> data;
-    if (!slurp(path, data) || data.size() < sizeof(u64))
-        return false;
-    u64 stored;
-    std::memcpy(&stored, data.data() + data.size() - sizeof(u64),
-                sizeof(u64));
-    data.resize(data.size() - sizeof(u64));
-    return stored == rawChecksum(data);
 }
 
 std::string

@@ -12,6 +12,7 @@
 #define SPLAB_SUPPORT_SERIALIZE_HH
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,7 +40,7 @@ class ByteWriter
     void putString(const std::string &s);
 
     /** Append @p n raw bytes verbatim (no length prefix); used to
-     *  reassemble artifacts from shared sub-blobs. */
+     *  persist an already-serialized artifact payload. */
     void
     putRaw(const u8 *data, std::size_t n)
     {
@@ -77,8 +78,13 @@ class ByteReader
     /** Load a checksummed file; fatal() on mismatch or I/O error. */
     static ByteReader loadFile(const std::string &path);
 
-    /** True if a file exists and its checksum validates. */
-    static bool probeFile(const std::string &path);
+    /**
+     * Read a checksummed file once and verify it; nullopt when it is
+     * missing, unreadable, too short or fails its checksum.  The
+     * verified bytes are the ones returned, so a concurrent rewrite
+     * of the file can never slip in between a check and a read.
+     */
+    static std::optional<ByteReader> tryLoadFile(const std::string &path);
 
     template <typename T>
     T

@@ -5,9 +5,7 @@
  * one fresh artifact-cache directory — cold, then warm — and verifies
  * that
  *
- *   - the cold run stored the fused measurement via blob sharing
- *     (artifact_cache.blob_share_hits > 0: the projections deduped
- *     against the fused node's sub-blobs),
+ *   - the cold run ran the fused traversal (pin.windows > 0),
  *   - the warm run performed NO fused traversal at all
  *     (pin.windows == 0 and pin.chunks_replayed == 0 — every
  *     whole-run view came back from disk),
@@ -123,17 +121,14 @@ main(int argc, char **argv)
         }
         check(counterOf(*cold, "pin.windows") > 0,
               "cold run never ran the fused traversal");
-        check(counterOf(*cold, "artifact_cache.blob_share_hits") > 0,
-              "cold run never deduped a projection against the fused "
-              "sub-blobs");
         check(counterOf(*warm, "pin.windows") == 0,
               "warm run re-ran an instrumented window despite "
               "persisted fused blobs");
         check(counterOf(*warm, "pin.chunks_replayed") == 0,
               "warm run replayed workload chunks despite persisted "
               "fused blobs");
-        check(counterOf(*warm, "graph.shared_blob_fallbacks") == 0,
-              "warm run fell back past a shared sub-blob");
+        check(counterOf(*warm, "artifact_cache.corrupt") == 0,
+              "warm run found a corrupt persisted blob");
         check(counterOf(*warm, "graph.cache_hits") > 0,
               "warm run never hit the artifact cache");
     }

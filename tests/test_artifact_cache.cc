@@ -1,11 +1,11 @@
 /**
  * @file
  * ArtifactCache hygiene tests: the persistent index (incremental
- * maintenance, reopen without a scan, rebuild from a corrupt or
- * missing index), size-bounded LRU eviction, ref-counted reclamation
- * of shared sub-blobs, and the multi-process torn-blob safety of
- * storeShared (N forked writers racing on one content hash must
- * leave exactly one healthy blob).
+ * maintenance, reopen without a scan, rebuild from a corrupt,
+ * missing or older-version index), size-bounded LRU eviction, and
+ * the multi-process torn-blob safety of store/load (N forked writers
+ * racing on one key must each read back whole blobs and leave
+ * exactly one healthy blob).
  */
 
 #include <gtest/gtest.h>
@@ -79,20 +79,21 @@ TEST(CacheIndex, PersistsAcrossReopenAndTracksUsage)
         ArtifactCache cache(dir);
         cache.store("simpoints", 1, blob);
         cache.store("simpoints", 2, blob);
-        cache.storeShared(patternBytes(128, 9).data(), 128);
+        ByteWriter small;
+        small.putRaw(patternBytes(128, 9).data(), 128);
+        cache.store("wholefused", 3, small);
         CacheUsage u = cache.usage();
-        EXPECT_EQ(u.artifacts, 2u);
-        EXPECT_EQ(u.sharedBlobs, 1u);
+        EXPECT_EQ(u.artifacts, 3u);
         EXPECT_GE(u.residentBytes, 2 * 256 + 128u);
     }
     // A second cache over the same directory serves lookups and
     // usage from the persisted index alone.
     ArtifactCache reopened(dir);
     CacheUsage u = reopened.usage();
-    EXPECT_EQ(u.artifacts, 2u);
-    EXPECT_EQ(u.sharedBlobs, 1u);
+    EXPECT_EQ(u.artifacts, 3u);
     EXPECT_TRUE(reopened.load("simpoints", 1).hit());
     EXPECT_TRUE(reopened.load("simpoints", 2).hit());
+    EXPECT_TRUE(reopened.load("wholefused", 3).hit());
 }
 
 TEST(CacheIndex, RebuildsFromCorruptOrMissingIndex)
@@ -100,11 +101,12 @@ TEST(CacheIndex, RebuildsFromCorruptOrMissingIndex)
     std::string dir = freshDir("index-rebuild");
     ByteWriter blob;
     blob.putRaw(patternBytes(64, 1).data(), 64);
-    u64 shared = 0;
+    ByteWriter other;
+    other.putRaw(patternBytes(96, 2).data(), 96);
     {
         ArtifactCache cache(dir);
         cache.store("regions", 7, blob);
-        shared = cache.storeShared(patternBytes(96, 2).data(), 96);
+        cache.store("wholecache", 8, other);
     }
     // Corrupt the index: the next open must fall back to a directory
     // scan and still see both blobs.
@@ -116,16 +118,52 @@ TEST(CacheIndex, RebuildsFromCorruptOrMissingIndex)
     {
         ArtifactCache cache(dir);
         CacheUsage u = cache.usage();
-        EXPECT_EQ(u.artifacts, 1u);
-        EXPECT_EQ(u.sharedBlobs, 1u);
+        EXPECT_EQ(u.artifacts, 2u);
         EXPECT_TRUE(cache.load("regions", 7).hit());
-        EXPECT_TRUE(cache.loadShared(shared).hit());
+        EXPECT_TRUE(cache.load("wholecache", 8).hit());
     }
     // Same story with the index deleted outright.
     fs::remove(dir + "/index.bin");
+    {
+        ArtifactCache cache(dir);
+        EXPECT_EQ(cache.usage().artifacts, 2u);
+        EXPECT_TRUE(cache.load("regions", 7).hit());
+    }
+
+    // And with a version-1 index, as written before blob sharing was
+    // removed: checksum-valid, with a per-entry shared-reference list
+    // and a trailing shared sub-blob table, next to a stray
+    // "shared-<hash>.bin" sub-blob file.  Opening it must rebuild the
+    // index from a scan, so the stray file is indexed as an ordinary
+    // evictable blob and evictToBytes(0) reclaims it.
+    const std::string stray = "shared-00000000deadbeef.bin";
+    ByteWriter strayBlob;
+    strayBlob.putRaw(patternBytes(120, 4).data(), 120);
+    ASSERT_TRUE(strayBlob.saveFile(dir + "/" + stray));
+    {
+        ByteWriter v1;
+        v1.put<u64>(0x53504c4142494458ULL); // "SPLABIDX"
+        v1.put<u32>(1);
+        v1.put<u64>(3);  // stamp
+        v1.put<u32>(1);  // one artifact entry ...
+        v1.putString("wholecache-0000000000000008.bin");
+        v1.put<u64>(24); // size
+        v1.put<u64>(1);  // last use
+        v1.put<u32>(1);  // ... referencing the stray sub-blob
+        v1.putString(stray);
+        v1.put<u32>(1);  // shared sub-blob table
+        v1.putString(stray);
+        v1.put<u64>(128);
+        ASSERT_TRUE(v1.saveFile(dir + "/index.bin"));
+    }
     ArtifactCache cache(dir);
-    EXPECT_EQ(cache.usage().artifacts, 1u);
+    CacheUsage u = cache.usage();
+    EXPECT_EQ(u.artifacts, 3u);
     EXPECT_TRUE(cache.load("regions", 7).hit());
+    EXPECT_TRUE(cache.load("wholecache", 8).hit());
+    EXPECT_EQ(cache.evictToBytes(0).residentBytes, 0u);
+    EXPECT_TRUE(blobFiles(dir).empty());
+    EXPECT_EQ(cache.usage().artifacts, 0u);
 }
 
 TEST(CacheIndex, CountersRegisterEagerly)
@@ -135,9 +173,7 @@ TEST(CacheIndex, CountersRegisterEagerly)
     for (const char *name :
          {"artifact_cache.hits", "artifact_cache.misses",
           "artifact_cache.evictions", "artifact_cache.bytes_evicted",
-          "artifact_cache.bytes_read", "artifact_cache.bytes_written",
-          "artifact_cache.blob_share_hits",
-          "artifact_cache.shared_blobs_reclaimed"})
+          "artifact_cache.bytes_read", "artifact_cache.bytes_written"})
         EXPECT_TRUE(snap.count(name)) << name;
 }
 
@@ -168,65 +204,12 @@ TEST(CacheEviction, LruRespectsBudgetAndProtectsNewestStore)
     EXPECT_FALSE(bounded.load("whole", 1).hit());
 }
 
-TEST(CacheEviction, SharedBlobSurvivesWhileReferencedThenReclaimed)
+TEST(CacheStress, ForkedWritersNeverExposeATornBlob)
 {
-    std::string dir = freshDir("evict-shared");
-    std::vector<u8> payload = patternBytes(900, 11);
-    u64 hash = 0;
-    u64 setupBytes = 0;
-    {
-        ArtifactCache cache(dir);
-        hash = cache.storeShared(payload.data(), payload.size());
-        ByteWriter ref;
-        ref.put<u64>(1);
-        ref.put<u64>(hash);
-        cache.store("fused", 1, ref, {hash});
-        cache.store("fused", 2, ref, {hash});
-        setupBytes = cache.usage().residentBytes;
-    }
-    ByteWriter filler;
-    filler.putRaw(patternBytes(100, 13).data(), 100);
-
-    // Phase 1: budget forces out the older ref blob only.  The shared
-    // sub-blob must survive because "fused"/2 still references it.
-    u64 reclaimedBefore =
-        counterValue("artifact_cache.shared_blobs_reclaimed");
-    {
-        ArtifactCache cache(dir, setupBytes + 100);
-        cache.store("filler", 1, filler);
-        EXPECT_FALSE(cache.load("fused", 1).hit());
-        EXPECT_TRUE(cache.load("fused", 2).hit());
-        EXPECT_TRUE(cache.loadShared(hash).hit());
-        EXPECT_EQ(counterValue("artifact_cache.shared_blobs_reclaimed"),
-                  reclaimedBefore);
-        EXPECT_EQ(blobFiles(dir, "shared-").size(), 1u);
-        setupBytes = cache.usage().residentBytes;
-    }
-
-    // Phase 2: squeeze out the last referencing artifact — now the
-    // sub-blob is unreferenced and must be reclaimed with it.
-    ByteWriter bigFiller;
-    bigFiller.putRaw(patternBytes(400, 17).data(), 400);
-    ArtifactCache cache(dir, setupBytes - 500);
-    cache.store("filler", 2, bigFiller);
-    EXPECT_FALSE(cache.load("fused", 2).hit());
-    EXPECT_FALSE(cache.loadShared(hash).hit());
-    EXPECT_GT(counterValue("artifact_cache.shared_blobs_reclaimed"),
-              reclaimedBefore);
-    EXPECT_TRUE(blobFiles(dir, "shared-").empty());
-}
-
-TEST(CacheStress, ForkedWritersNeverExposeATornSharedBlob)
-{
-    std::string dir = freshDir("fork-shared");
+    std::string dir = freshDir("fork-one-key");
     std::vector<u8> payload = patternBytes(64 * 1024, 23);
-    u64 expected = 0;
-    {
-        // Learn the content hash up front (disabled cache still
-        // hashes), so children can verify what they compute.
-        ArtifactCache probe("");
-        expected = probe.storeShared(payload.data(), payload.size());
-    }
+    ByteWriter blob;
+    blob.putRaw(payload.data(), payload.size());
 
     constexpr int kWriters = 8;
     constexpr int kRounds = 16;
@@ -235,18 +218,20 @@ TEST(CacheStress, ForkedWritersNeverExposeATornSharedBlob)
         pid_t pid = fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
-            // Child: hammer storeShared with the same content and
-            // verify every load sees healthy, full-length bytes.
+            // Child: hammer store() on one key and verify every load
+            // is a hit on whole, matching bytes.  A torn read would
+            // show as a corrupt outcome or a short blob, never an
+            // abort.
             ArtifactCache cache(dir);
             for (int i = 0; i < kRounds; ++i) {
-                if (cache.storeShared(payload.data(),
-                                      payload.size()) != expected)
-                    _exit(2);
-                CacheOutcome got = cache.loadShared(expected);
+                cache.store("wholefused", 42, blob);
+                CacheOutcome got = cache.load("wholefused", 42);
                 if (!got.hit())
                     _exit(3);
                 if (got->remaining() != payload.size())
                     _exit(4);
+                if (got->getRaw(payload.size()) != payload)
+                    _exit(5);
             }
             _exit(0);
         }
@@ -255,33 +240,21 @@ TEST(CacheStress, ForkedWritersNeverExposeATornSharedBlob)
     for (pid_t pid : kids) {
         int status = 0;
         ASSERT_EQ(waitpid(pid, &status, 0), pid);
-        EXPECT_TRUE(WIFEXITED(status));
+        EXPECT_TRUE(WIFEXITED(status)) << "writer " << pid
+                                       << " died";
         EXPECT_EQ(WEXITSTATUS(status), 0)
             << "writer " << pid << " failed";
     }
 
-    // Exactly one healthy blob, no leftover temp files, and a sane
-    // index (one shared entry, no phantom artifacts).
+    // Exactly one healthy blob, no leftover temp files (blobFiles
+    // lists those too), and a sane index (one entry).
     EXPECT_EQ(blobFiles(dir).size(), 1u);
-    EXPECT_EQ(blobFiles(dir, "shared-").size(), 1u);
     ArtifactCache after(dir);
-    CacheOutcome got = after.loadShared(expected);
+    CacheOutcome got = after.load("wholefused", 42);
     ASSERT_TRUE(got.hit());
     ASSERT_EQ(got->remaining(), payload.size());
-    std::vector<u8> bytes = got->getRaw(payload.size());
-    EXPECT_EQ(bytes, payload);
-    CacheUsage u = after.usage();
-    EXPECT_EQ(u.artifacts, 0u);
-    EXPECT_EQ(u.sharedBlobs, 1u);
-    // Re-storing the same content from this process must count as a
-    // share hit against the healthy blob the writers raced to
-    // publish (counters are per-process, so the children's hits are
-    // invisible here — this replays one deliberately).
-    u64 shareHitsBefore = counterValue("artifact_cache.blob_share_hits");
-    EXPECT_EQ(after.storeShared(payload.data(), payload.size()),
-              expected);
-    EXPECT_EQ(counterValue("artifact_cache.blob_share_hits"),
-              shareHitsBefore + 1);
+    EXPECT_EQ(got->getRaw(payload.size()), payload);
+    EXPECT_EQ(after.usage().artifacts, 1u);
 }
 
 TEST(CacheStress, ForkedStoresKeepIndexConsistent)

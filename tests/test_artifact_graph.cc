@@ -451,6 +451,33 @@ const std::vector<ArtifactKind> kWholeTargets = {
     ArtifactKind::WholeFused, ArtifactKind::WholeCache,
     ArtifactKind::WholeTiming};
 
+/**
+ * Expect exactly one inline blob per benchmark for each whole-run
+ * kind, each holding its serialized struct plus the 8-byte file
+ * checksum, and no other blob.
+ */
+void
+expectInlineWholeBlobs(
+    const std::map<std::string, std::vector<char>> &files)
+{
+    const std::pair<const char *, std::size_t> kinds[] = {
+        {"wholefused-", sizeof(FusedWholeMetrics)},
+        {"wholecache-", sizeof(CacheRunMetrics)},
+        {"wholetiming-", sizeof(TimingRunMetrics)}};
+    EXPECT_EQ(files.size(), kBenches.size() * 3);
+    for (auto [prefix, payload] : kinds) {
+        std::size_t n = 0;
+        for (const auto &kv : files) {
+            if (kv.first.rfind(prefix, 0) != 0)
+                continue;
+            EXPECT_EQ(kv.second.size(), payload + sizeof(u64))
+                << kv.first;
+            ++n;
+        }
+        EXPECT_EQ(n, kBenches.size()) << prefix;
+    }
+}
+
 TEST(FusedPersistence, WarmRunSkipsFusedTraversal)
 {
     std::string dir = testing::TempDir() + "/splab-fused-cache";
@@ -463,19 +490,8 @@ TEST(FusedPersistence, WarmRunSkipsFusedTraversal)
                            ArtifactCache(dir)));
     cold.runSuite(kBenches, kWholeTargets);
     std::vector<u8> coldBytes = fusedBytes(cold);
-    auto coldStats = obs::counterSnapshot();
-    // Each projection's single sub-blob was already stored by the
-    // fused node (its serialization is their concatenation): exactly
-    // two share hits per benchmark, and only two shared files plus
-    // three ref blobs per benchmark on disk.
-    EXPECT_EQ(counterOr0(coldStats, "artifact_cache.blob_share_hits"),
-              kBenches.size() * 2);
     auto coldFiles = dirContents(dir);
-    std::size_t sharedFiles = 0;
-    for (const auto &kv : coldFiles)
-        if (kv.first.rfind("shared-", 0) == 0)
-            ++sharedFiles;
-    EXPECT_EQ(sharedFiles, kBenches.size() * 2);
+    expectInlineWholeBlobs(coldFiles);
 
     obs::resetCounters();
     ArtifactGraph warm(fastConfig(),
@@ -494,8 +510,7 @@ TEST(FusedPersistence, WarmRunSkipsFusedTraversal)
               kBenches.size());
     EXPECT_EQ(counterOr0(warmStats, "pin.windows"), 0u);
     EXPECT_EQ(counterOr0(warmStats, "pin.chunks_replayed"), 0u);
-    EXPECT_EQ(counterOr0(warmStats, "graph.shared_blob_fallbacks"),
-              0u);
+    EXPECT_EQ(counterOr0(warmStats, "artifact_cache.corrupt"), 0u);
 
     // The warm run must not have rewritten or perturbed any blob.
     EXPECT_EQ(dirContents(dir), coldFiles);
@@ -504,9 +519,8 @@ TEST(FusedPersistence, WarmRunSkipsFusedTraversal)
 
 TEST(FusedPersistence, BlobLayoutAndCountersThreadCountInvariant)
 {
-    std::vector<std::set<std::string>> refNames;
-    std::vector<std::size_t> sharedCounts;
-    std::vector<u64> shareHits;
+    std::vector<std::set<std::string>> blobNames;
+    std::vector<u64> bytesWritten;
     std::vector<std::vector<u8>> values;
     for (std::size_t threads : {1u, 2u, 8u}) {
         std::string dir = testing::TempDir() +
@@ -521,40 +535,33 @@ TEST(FusedPersistence, BlobLayoutAndCountersThreadCountInvariant)
                             ArtifactCache(dir)));
         g.runSuite(kBenches, kWholeTargets);
         values.push_back(fusedStableBytes(g));
-        std::set<std::string> refs;
-        std::size_t shared = 0;
-        for (const auto &kv : dirContents(dir)) {
-            if (kv.first.rfind("shared-", 0) == 0)
-                ++shared;
-            else
-                refs.insert(kv.first);
-        }
-        refNames.push_back(refs);
-        sharedCounts.push_back(shared);
-        shareHits.push_back(counterOr0(
-            obs::counterSnapshot(), "artifact_cache.blob_share_hits"));
+        auto files = dirContents(dir);
+        expectInlineWholeBlobs(files);
+        std::set<std::string> names;
+        for (const auto &kv : files)
+            names.insert(kv.first);
+        blobNames.push_back(names);
+        bytesWritten.push_back(counterOr0(
+            obs::counterSnapshot(), "artifact_cache.bytes_written"));
         std::filesystem::remove_all(dir);
     }
     ThreadPool::setGlobalThreads(0);
 
-    // Same stable value bytes, same key-addressed blob names, same
-    // sub-blob count and share-hit count at every thread count.
-    // (Shared filenames are content hashes over bytes that include
-    // the measuring run's wall time, so only their count is
-    // comparable across independent runs.)
+    // Same stable value bytes, same key-addressed blob names and the
+    // same stored payload bytes at every thread count.
     EXPECT_EQ(values[0], values[1]);
     EXPECT_EQ(values[0], values[2]);
-    EXPECT_EQ(refNames[0], refNames[1]);
-    EXPECT_EQ(refNames[0], refNames[2]);
-    EXPECT_EQ(sharedCounts[0], kBenches.size() * 2);
-    EXPECT_EQ(sharedCounts[1], sharedCounts[0]);
-    EXPECT_EQ(sharedCounts[2], sharedCounts[0]);
-    EXPECT_EQ(shareHits[0], kBenches.size() * 2);
-    EXPECT_EQ(shareHits[1], shareHits[0]);
-    EXPECT_EQ(shareHits[2], shareHits[0]);
+    EXPECT_EQ(blobNames[0], blobNames[1]);
+    EXPECT_EQ(blobNames[0], blobNames[2]);
+    EXPECT_EQ(bytesWritten[0],
+              kBenches.size() *
+                  (sizeof(FusedWholeMetrics) + sizeof(CacheRunMetrics) +
+                   sizeof(TimingRunMetrics)));
+    EXPECT_EQ(bytesWritten[1], bytesWritten[0]);
+    EXPECT_EQ(bytesWritten[2], bytesWritten[0]);
 }
 
-TEST(FusedPersistence, CorruptSharedBlobRecomputesAndHeals)
+TEST(FusedPersistence, CorruptFusedBlobRecomputesAndHeals)
 {
     std::string dir = testing::TempDir() + "/splab-fused-corrupt";
     std::filesystem::remove_all(dir);
@@ -567,28 +574,30 @@ TEST(FusedPersistence, CorruptSharedBlobRecomputesAndHeals)
     cold.runSuite(kBenches, kWholeTargets);
     std::vector<u8> coldStable = fusedStableBytes(cold);
 
-    // Trash every shared sub-blob (truncated garbage).
+    // Trash every wholefused blob (truncated garbage).
     std::size_t corrupted = 0;
     for (const auto &e : std::filesystem::directory_iterator(dir))
-        if (e.path().filename().string().rfind("shared-", 0) == 0) {
+        if (e.path().filename().string().rfind("wholefused-", 0) ==
+            0) {
             std::ofstream f(e.path(), std::ios::binary |
                                           std::ios::trunc);
             f << "garbage";
             ++corrupted;
         }
-    ASSERT_EQ(corrupted, kBenches.size() * 2);
+    ASSERT_EQ(corrupted, kBenches.size());
 
     obs::resetCounters();
     ArtifactGraph warm(fastConfig(),
                        std::make_shared<const ArtifactCache>(
                            ArtifactCache(dir)));
     // Degrades to recompute — identical values modulo wall time, no
-    // crash — and the recompute's store writes fresh sub-blobs and
-    // re-points every ref blob at them.
+    // crash — and the recompute's store replaces the corrupt blob.
     EXPECT_EQ(fusedStableBytes(warm), coldStable);
     std::vector<u8> warmExact = fusedBytes(warm);
     auto stats = obs::counterSnapshot();
-    EXPECT_GE(counterOr0(stats, "graph.shared_blob_fallbacks"), 1u);
+    EXPECT_EQ(counterOr0(stats, "artifact_cache.corrupt"),
+              kBenches.size());
+    expectInlineWholeBlobs(dirContents(dir));
 
     // Healed: a third instance is a clean warm run again, loading
     // the recomputed bytes verbatim.
@@ -598,8 +607,7 @@ TEST(FusedPersistence, CorruptSharedBlobRecomputesAndHeals)
                             ArtifactCache(dir)));
     EXPECT_EQ(fusedBytes(again), warmExact);
     auto cleanStats = obs::counterSnapshot();
-    EXPECT_EQ(counterOr0(cleanStats, "graph.shared_blob_fallbacks"),
-              0u);
+    EXPECT_EQ(counterOr0(cleanStats, "artifact_cache.corrupt"), 0u);
     EXPECT_EQ(counterOr0(cleanStats, "pin.windows"), 0u);
 
     ThreadPool::setGlobalThreads(0);

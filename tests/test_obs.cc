@@ -301,9 +301,7 @@ TEST(ObsManifest, CarriesArtifactCacheCounterFamily)
          {"artifact_cache.hits", "artifact_cache.misses",
           "artifact_cache.corrupt", "artifact_cache.evictions",
           "artifact_cache.bytes_read", "artifact_cache.bytes_written",
-          "artifact_cache.bytes_evicted",
-          "artifact_cache.blob_share_hits",
-          "artifact_cache.shared_blobs_reclaimed"})
+          "artifact_cache.bytes_evicted"})
         EXPECT_NE(counters->find(name), nullptr) << name;
 }
 

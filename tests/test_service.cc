@@ -482,7 +482,6 @@ TEST(Daemon, EvictsCacheToBudgetAndReportsOutcome)
     EXPECT_EQ(all->residentBefore, resident);
     EXPECT_EQ(all->residentAfter, 0u);
     EXPECT_EQ(all->artifacts, 0u);
-    EXPECT_EQ(all->sharedBlobs, 0u);
     EXPECT_EQ(daemon.artifactCache().usage().residentBytes, 0u);
 
     // The admin op is tallied and the daemon keeps serving.

@@ -163,7 +163,9 @@ TEST(Serialize, FileRoundTripWithChecksum)
     w.put<u64>(99);
     w.putString("persisted");
     ASSERT_TRUE(w.saveFile(path));
-    ASSERT_TRUE(ByteReader::probeFile(path));
+    std::optional<ByteReader> verified = ByteReader::tryLoadFile(path);
+    ASSERT_TRUE(verified.has_value());
+    EXPECT_EQ(verified->get<u64>(), 99u);
     ByteReader r = ByteReader::loadFile(path);
     EXPECT_EQ(r.get<u64>(), 99u);
     EXPECT_EQ(r.getString(), "persisted");
@@ -184,7 +186,7 @@ TEST(Serialize, CorruptionDetected)
     std::fseek(f, 10, SEEK_SET);
     std::fputc(c ^ 0xff, f);
     std::fclose(f);
-    EXPECT_FALSE(ByteReader::probeFile(path));
+    EXPECT_FALSE(ByteReader::tryLoadFile(path).has_value());
     std::remove(path.c_str());
 }
 
