@@ -1,15 +1,17 @@
 #include "artifact_cache.hh"
 
+#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <set>
+#include <tuple>
+#include <vector>
 
-#include <fcntl.h>
-#include <sys/file.h>
+#include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "obs/counters.hh"
@@ -22,9 +24,6 @@ namespace splab
 
 namespace
 {
-
-constexpr u64 kIndexMagic = 0x53504c4142494458ULL; // "SPLABIDX"
-constexpr u32 kIndexVersion = 2;
 
 /**
  * True when @p dir accepts new files.  std::filesystem permission
@@ -56,49 +55,6 @@ warnOnce(const std::string &dir, const char *why)
     SPLAB_WARN("cache dir ", dir, ": ", why, "; caching disabled");
 }
 
-/**
- * Exclusive flock over "<root>/index.lock" serializing index
- * read-modify-write cycles across processes.  Advisory, so only
- * ArtifactCache instances contend; blob reads never take it.
- */
-class FileLock
-{
-  public:
-    explicit FileLock(const std::string &path)
-        : fd(::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644))
-    {
-        if (fd < 0)
-            return;
-        while (::flock(fd, LOCK_EX) != 0) {
-            if (errno != EINTR) {
-                ::close(fd);
-                fd = -1;
-                return;
-            }
-        }
-    }
-
-    ~FileLock()
-    {
-        if (fd >= 0)
-            ::close(fd); // closing drops the flock
-    }
-
-    FileLock(const FileLock &) = delete;
-    FileLock &operator=(const FileLock &) = delete;
-
-  private:
-    int fd;
-};
-
-u64
-fileSizeOr0(const std::string &p)
-{
-    std::error_code ec;
-    auto n = std::filesystem::file_size(p, ec);
-    return ec ? 0 : static_cast<u64>(n);
-}
-
 obs::Counter &
 evictionsCounter()
 {
@@ -113,41 +69,60 @@ bytesEvictedCounter()
                         "bytes reclaimed by cache eviction");
 }
 
-obs::Gauge &
-residentGauge()
+/** Last-use stamp: the blob's mtime, set to the clock's full
+ *  resolution rather than the kernel's coarse write timestamp so
+ *  back-to-back uses order correctly. */
+void
+stampNow(const std::string &p)
 {
-    return obs::gauge("artifact_cache.resident_bytes",
-                      "indexed artifact blob bytes");
+    std::error_code ec;
+    std::filesystem::last_write_time(
+        p, std::filesystem::file_time_type::clock::now(), ec);
+}
+
+/** A published blob as one directory scan saw it. */
+struct BlobFile
+{
+    i64 lastUseNs = 0; ///< mtime, ns since the epoch
+    std::string name;
+    u64 size = 0;
+};
+
+/** Every published blob under @p root, least recently used first
+ *  (ties by name).  Unpublished temporaries and dot-files are not
+ *  blobs; every other regular file, whatever wrote it, is. */
+std::vector<BlobFile>
+scanBlobs(const std::string &root)
+{
+    std::vector<BlobFile> blobs;
+    std::unique_ptr<DIR, int (*)(DIR *)> dir(::opendir(root.c_str()),
+                                             ::closedir);
+    if (!dir)
+        return blobs;
+    while (const dirent *e = ::readdir(dir.get())) {
+        std::string name = e->d_name;
+        if (name.find(".tmp.") != std::string::npos ||
+            name.rfind(".", 0) == 0)
+            continue;
+        // One stat for type, size and mtime; a file removed since
+        // the directory read fails it and is skipped.
+        struct stat st;
+        if (::fstatat(::dirfd(dir.get()), e->d_name, &st, 0) != 0 ||
+            !S_ISREG(st.st_mode))
+            continue;
+        blobs.push_back({i64(st.st_mtim.tv_sec) * 1000000000 +
+                             st.st_mtim.tv_nsec,
+                         std::move(name), u64(st.st_size)});
+    }
+    std::sort(blobs.begin(), blobs.end(),
+              [](const BlobFile &a, const BlobFile &b) {
+                  return std::tie(a.lastUseNs, a.name) <
+                         std::tie(b.lastUseNs, b.name);
+              });
+    return blobs;
 }
 
 } // namespace
-
-/**
- * In-memory mirror of index.bin.  Disk is authoritative: every
- * mutation reloads under the file lock before applying, so the
- * mirror only exists to answer usage() without touching the disk.
- */
-struct ArtifactCache::IndexState
-{
-    struct Entry
-    {
-        u64 size = 0;    ///< blob file bytes (payload + checksum)
-        u64 lastUse = 0; ///< logical stamp, bumped on load/store
-    };
-
-    std::mutex mtx;
-    std::map<std::string, Entry> entries; ///< artifact blobs, by name
-    u64 stamp = 0; ///< logical clock for last-use ordering
-
-    u64
-    residentBytes() const
-    {
-        u64 total = 0;
-        for (const auto &kv : entries)
-            total += kv.second.size;
-        return total;
-    }
-};
 
 const char *
 cacheStatusName(CacheStatus s)
@@ -183,7 +158,6 @@ ArtifactCache::ArtifactCache(std::string dir, u64 maxBytes)
                  "bytes stored into cache blobs");
     evictionsCounter();
     bytesEvictedCounter();
-    residentGauge();
 
     if (root.empty())
         return;
@@ -199,16 +173,7 @@ ArtifactCache::ArtifactCache(std::string dir, u64 maxBytes)
         root.clear();
         return;
     }
-    idx = std::make_unique<IndexState>();
-    // Populate the mirror (and heal a missing/corrupt index) so
-    // usage() is meaningful before the first store.
-    indexMutate([](IndexState &) {});
 }
-
-ArtifactCache::ArtifactCache(ArtifactCache &&) noexcept = default;
-ArtifactCache &
-ArtifactCache::operator=(ArtifactCache &&) noexcept = default;
-ArtifactCache::~ArtifactCache() = default;
 
 ArtifactCache
 ArtifactCache::fromEnv()
@@ -226,156 +191,49 @@ ArtifactCache::path(const std::string &kind, u64 key) const
     return root + "/" + kind + "-" + hex + ".bin";
 }
 
-// --- persistent index ------------------------------------------------
-
-void
-ArtifactCache::indexSaveLocked(const IndexState &st) const
+CacheUsage
+ArtifactCache::evictScan(u64 targetBytes,
+                         const std::string &protect) const
 {
-    ByteWriter w;
-    w.put<u64>(kIndexMagic);
-    w.put<u32>(kIndexVersion);
-    w.put<u64>(st.stamp);
-    w.put<u32>(static_cast<u32>(st.entries.size()));
-    for (const auto &kv : st.entries) {
-        w.putString(kv.first);
-        w.put<u64>(kv.second.size);
-        w.put<u64>(kv.second.lastUse);
+    CacheUsage u;
+    if (!enabled())
+        return u;
+    std::vector<BlobFile> blobs = scanBlobs(root);
+    for (const BlobFile &b : blobs) {
+        ++u.artifacts;
+        u.residentBytes += b.size;
     }
-
-    // tmp + rename so a reader (or a crash) never sees a torn index.
-    std::string p = root + "/index.bin";
-    std::string tmp =
-        p + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    if (!w.saveFile(tmp)) {
-        SPLAB_WARN("cannot write cache index ", tmp);
-        return;
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, p, ec);
-    if (ec) {
-        SPLAB_WARN("cannot publish cache index ", p, ": ",
-                   ec.message());
-        std::filesystem::remove(tmp, ec);
-    }
-}
-
-void
-ArtifactCache::indexRebuildLocked(IndexState &st) const
-{
-    st.entries.clear();
-    st.stamp = 0;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(root, ec), end;
-    for (; !ec && it != end; it.increment(ec)) {
-        if (!it->is_regular_file(ec))
+    for (const BlobFile &b : blobs) {
+        if (u.residentBytes <= targetBytes)
+            break;
+        if (b.name == protect)
             continue;
-        std::string name = it->path().filename().string();
-        // Skip the index's own files and unpublished temporaries.
-        if (name.rfind("index.", 0) == 0 ||
-            name.find(".tmp.") != std::string::npos ||
-            name.rfind(".", 0) == 0)
-            continue;
-        st.entries[name] = IndexState::Entry{
-            fileSizeOr0(it->path().string()), ++st.stamp};
-    }
-}
-
-void
-ArtifactCache::indexLoadLocked(IndexState &st) const
-{
-    std::optional<ByteReader> r =
-        ByteReader::tryLoadFile(root + "/index.bin");
-    if (!r || r->remaining() < sizeof(u64) + sizeof(u32) ||
-        r->get<u64>() != kIndexMagic ||
-        r->get<u32>() != kIndexVersion) {
-        indexRebuildLocked(st);
-        return;
-    }
-    st.entries.clear();
-    st.stamp = r->get<u64>();
-    u32 nEntries = r->get<u32>();
-    for (u32 i = 0; i < nEntries; ++i) {
-        std::string name = r->getString();
-        IndexState::Entry e;
-        e.size = r->get<u64>();
-        e.lastUse = r->get<u64>();
-        st.entries.emplace(std::move(name), e);
-    }
-}
-
-void
-ArtifactCache::evictLocked(IndexState &st,
-                           const std::string &protect,
-                           u64 evictBudget) const
-{
-    u64 resident = st.residentBytes();
-    while (resident > evictBudget) {
-        // Oldest last-use stamp wins; never the blob being stored.
-        auto victim = st.entries.end();
-        for (auto it = st.entries.begin(); it != st.entries.end();
-             ++it) {
-            if (it->first == protect)
-                continue;
-            if (victim == st.entries.end() ||
-                it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        }
-        if (victim == st.entries.end())
-            break; // nothing evictable (only the protected blob)
-        u64 freed = victim->second.size;
         std::error_code ec;
-        std::filesystem::remove(root + "/" + victim->first, ec);
-        st.entries.erase(victim);
-        evictionsCounter().add();
-        bytesEvictedCounter().add(freed);
-        resident = resident > freed ? resident - freed : 0;
+        bool removed = std::filesystem::remove(root + "/" + b.name, ec);
+        if (ec)
+            continue; // still resident
+        // Not removed and no error: a racing evictor got there first.
+        // The bytes are gone either way; only ours count as evictions.
+        if (removed) {
+            evictionsCounter().add();
+            bytesEvictedCounter().add(b.size);
+        }
+        --u.artifacts;
+        u.residentBytes -= b.size;
     }
-}
-
-void
-ArtifactCache::indexMutate(
-    const std::function<void(IndexState &)> &apply,
-    const std::string &protect) const
-{
-    if (!enabled() || !idx)
-        return;
-    std::lock_guard<std::mutex> g(idx->mtx);
-    FileLock lock(root + "/index.lock");
-    indexLoadLocked(*idx);
-    apply(*idx);
-    if (budget != 0)
-        evictLocked(*idx, protect, budget);
-    indexSaveLocked(*idx);
-    residentGauge().set(idx->residentBytes());
+    return u;
 }
 
 CacheUsage
 ArtifactCache::evictToBytes(u64 targetBytes) const
 {
-    CacheUsage u;
-    if (!enabled() || !idx)
-        return u;
-    std::lock_guard<std::mutex> g(idx->mtx);
-    FileLock lock(root + "/index.lock");
-    indexLoadLocked(*idx);
-    evictLocked(*idx, "", targetBytes);
-    indexSaveLocked(*idx);
-    residentGauge().set(idx->residentBytes());
-    u.artifacts = idx->entries.size();
-    u.residentBytes = idx->residentBytes();
-    return u;
+    return evictScan(targetBytes, "");
 }
 
 CacheUsage
 ArtifactCache::usage() const
 {
-    CacheUsage u;
-    if (!enabled() || !idx)
-        return u;
-    std::lock_guard<std::mutex> g(idx->mtx);
-    u.artifacts = idx->entries.size();
-    u.residentBytes = idx->residentBytes();
-    return u;
+    return evictScan(~u64(0), ""); // no directory exceeds this
 }
 
 // --- blob operations -------------------------------------------------
@@ -422,13 +280,7 @@ ArtifactCache::load(const std::string &kind, u64 key) const
     bytesRead.add(out.blob->remaining());
     out.status = CacheStatus::Hit;
     // Refresh the last-use stamp so LRU eviction sees live blobs.
-    std::string name = std::filesystem::path(p).filename().string();
-    u64 size = fileSizeOr0(p);
-    indexMutate([&](IndexState &st) {
-        auto it = st.entries.emplace(name, IndexState::Entry{size, 0})
-                      .first;
-        it->second.lastUse = ++st.stamp;
-    });
+    stampNow(p);
     return out;
 }
 
@@ -452,6 +304,7 @@ ArtifactCache::store(const std::string &kind, u64 key,
         std::filesystem::remove(tmp, ec);
         return;
     }
+    stampNow(tmp);
     std::error_code ec;
     std::filesystem::rename(tmp, p, ec);
     if (ec) {
@@ -462,13 +315,9 @@ ArtifactCache::store(const std::string &kind, u64 key,
     }
     obs::counter("artifact_cache.bytes_written")
         .add(blob.bytes().size());
-    std::string name = std::filesystem::path(p).filename().string();
-    u64 size = fileSizeOr0(p);
-    indexMutate(
-        [&](IndexState &st) {
-            st.entries[name] = IndexState::Entry{size, ++st.stamp};
-        },
-        name);
+    if (budget != 0)
+        evictScan(budget,
+                  std::filesystem::path(p).filename().string());
 }
 
 } // namespace splab

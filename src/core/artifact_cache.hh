@@ -19,17 +19,19 @@
  *    atomic rename, so a reader (or a concurrent writer of the same
  *    key, in this process or another) never sees a torn blob.  A
  *    load reads the file once and verifies the bytes it returns.
- *  - A persistent index ("index.bin": per-blob size and logical
- *    last-use stamp) is maintained incrementally on every
- *    load/store, so size accounting and eviction decisions never
- *    scan the directory.  A missing, corrupt or older-version index
- *    is rebuilt from one directory scan (last-use stamps reset).
- *    Cross-process index mutations serialize through an flock'd
- *    read-modify-write with an atomic tmp+rename publish.
+ *  - The directory is the only record of what the cache holds; no
+ *    index is kept beside it.  A blob's mtime is its last-use
+ *    stamp: store and every hit set it to the current time.
+ *    usage() and eviction each scan the directory once.  Any file
+ *    there except unpublished temporaries and dot-files counts as
+ *    a blob, so leftovers of older layouts are ordinary evictable
+ *    files.
  *  - When SPLAB_CACHE_MAX_BYTES (or the maxBytes constructor
- *    argument) is non-zero, stores that push the resident blob bytes
- *    over the budget evict least-recently-used blobs until the
- *    budget holds.
+ *    argument) is non-zero, each store is followed by one scan that
+ *    evicts least-recently-used blobs (ordered by mtime, then name),
+ *    never the blob just stored, until the budget holds.  With no
+ *    budget nothing is ever reclaimed; evictToBytes (`splabd
+ *    --evict`) or deleting the directory does that.
  *  - Hit/miss/eviction/byte counters ("artifact_cache.*") register
  *    eagerly at construction so every run manifest carries the full
  *    family even when a count is zero.
@@ -38,8 +40,6 @@
 #ifndef SPLAB_CORE_ARTIFACT_CACHE_HH
 #define SPLAB_CORE_ARTIFACT_CACHE_HH
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -72,11 +72,12 @@ struct CacheOutcome
     ByteReader *operator->() { return &*blob; }
 };
 
-/** Index-derived occupancy snapshot (advisory across processes). */
+/** Occupancy from one directory scan (advisory: other processes
+ *  may store or evict while it runs). */
 struct CacheUsage
 {
-    u64 artifacts = 0;     ///< indexed artifact blobs
-    u64 residentBytes = 0; ///< indexed blob file bytes
+    u64 artifacts = 0;     ///< published blob files
+    u64 residentBytes = 0; ///< their total file bytes
 };
 
 /** Content-addressed blob store under one directory. */
@@ -91,10 +92,6 @@ class ArtifactCache
 
     /** Cache honouring $SPLAB_CACHE and $SPLAB_CACHE_MAX_BYTES. */
     static ArtifactCache fromEnv();
-
-    ArtifactCache(ArtifactCache &&) noexcept;
-    ArtifactCache &operator=(ArtifactCache &&) noexcept;
-    ~ArtifactCache();
 
     bool enabled() const { return !root.empty(); }
 
@@ -116,15 +113,14 @@ class ArtifactCache
     void store(const std::string &kind, u64 key,
                const ByteWriter &blob) const;
 
-    /** Occupancy according to the in-memory index view. */
+    /** Occupancy of the directory (one scan). */
     CacheUsage usage() const;
 
     /**
      * Evict least-recently-used artifacts until the resident bytes
      * fit @p targetBytes, regardless of the construction-time
      * budget; 0 evicts everything evictable.  This is the admin hook
-     * behind `splabd --evict`.  Runs under the same in-process mutex
-     * and cross-process file lock as any index mutation.
+     * behind `splabd --evict`.
      * @return post-eviction occupancy.
      */
     CacheUsage evictToBytes(u64 targetBytes) const;
@@ -136,29 +132,16 @@ class ArtifactCache
     static constexpr u64 kVersionSalt = 0x53504c41422d7634ULL;
 
   private:
-    struct IndexState; // index + mutex; lives behind a unique_ptr
-                       // so the cache stays movable
-
     std::string path(const std::string &kind, u64 key) const;
 
-    /** Run @p apply on the index under the in-process mutex and the
-     *  cross-process file lock: reload the on-disk index (disk is
-     *  authoritative), apply, evict down to the budget (sparing
-     *  @p protect), publish atomically.  No-op when disabled. */
-    void indexMutate(const std::function<void(IndexState &)> &apply,
-                     const std::string &protect = "") const;
-    void indexLoadLocked(IndexState &st) const;
-    void indexSaveLocked(const IndexState &st) const;
-    void indexRebuildLocked(IndexState &st) const;
-
-    /** Evict LRU artifacts (sparing @p protect) until the resident
-     *  bytes fit @p evictBudget.  Caller holds both locks. */
-    void evictLocked(IndexState &st, const std::string &protect,
-                     u64 evictBudget) const;
+    /** One scan: evict LRU blobs (sparing the file named
+     *  @p protect) until the resident bytes fit @p targetBytes.
+     *  @return occupancy after eviction. */
+    CacheUsage evictScan(u64 targetBytes,
+                         const std::string &protect) const;
 
     std::string root;
     u64 budget = 0;
-    std::unique_ptr<IndexState> idx;
 };
 
 } // namespace splab

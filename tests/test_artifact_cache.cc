@@ -1,11 +1,13 @@
 /**
  * @file
- * ArtifactCache hygiene tests: the persistent index (incremental
- * maintenance, reopen without a scan, rebuild from a corrupt,
- * missing or older-version index), size-bounded LRU eviction, and
- * the multi-process torn-blob safety of store/load (N forked writers
- * racing on one key must each read back whole blobs and leave
- * exactly one healthy blob).
+ * ArtifactCache hygiene tests: the directory as the only record
+ * (usage across reopen, leftover index files of older layouts as
+ * ordinary evictable blobs, no abort on a lying index), size-bounded
+ * LRU eviction with hits refreshing the order across instances, and
+ * multi-process safety of store/load (N forked writers racing on
+ * one key must each read back whole blobs and leave exactly one
+ * healthy blob; budgeted writers racing on distinct keys must leave
+ * the directory within budget and every survivor whole).
  */
 
 #include <gtest/gtest.h>
@@ -49,15 +51,13 @@ patternBytes(std::size_t n, u8 seed)
     return v;
 }
 
-/** Blob files on disk (index bookkeeping excluded). */
+/** Files on disk, temporaries included so a leaked one shows. */
 std::set<std::string>
 blobFiles(const std::string &dir, const std::string &prefix = "")
 {
     std::set<std::string> names;
     for (const auto &e : fs::directory_iterator(dir)) {
         std::string name = e.path().filename().string();
-        if (name.rfind("index.", 0) == 0)
-            continue;
         if (name.rfind(prefix, 0) == 0)
             names.insert(name);
     }
@@ -70,7 +70,16 @@ counterValue(const std::string &name)
     return obs::counter(name).value();
 }
 
-TEST(CacheIndex, PersistsAcrossReopenAndTracksUsage)
+/** Wait for @p pid; true when it exited with status 0. */
+bool
+exitedCleanly(pid_t pid)
+{
+    int status = 0;
+    return waitpid(pid, &status, 0) == pid && WIFEXITED(status) &&
+           WEXITSTATUS(status) == 0;
+}
+
+TEST(CacheDir, PersistsAcrossReopenAndTracksUsage)
 {
     std::string dir = freshDir("index-reopen");
     ByteWriter blob;
@@ -87,7 +96,7 @@ TEST(CacheIndex, PersistsAcrossReopenAndTracksUsage)
         EXPECT_GE(u.residentBytes, 2 * 256 + 128u);
     }
     // A second cache over the same directory serves lookups and
-    // usage from the persisted index alone.
+    // usage from the directory alone.
     ArtifactCache reopened(dir);
     CacheUsage u = reopened.usage();
     EXPECT_EQ(u.artifacts, 3u);
@@ -96,9 +105,9 @@ TEST(CacheIndex, PersistsAcrossReopenAndTracksUsage)
     EXPECT_TRUE(reopened.load("wholefused", 3).hit());
 }
 
-TEST(CacheIndex, RebuildsFromCorruptOrMissingIndex)
+TEST(CacheDir, LeftoverIndexFilesAreEvictableBlobs)
 {
-    std::string dir = freshDir("index-rebuild");
+    std::string dir = freshDir("index-leftover");
     ByteWriter blob;
     blob.putRaw(patternBytes(64, 1).data(), 64);
     ByteWriter other;
@@ -108,34 +117,11 @@ TEST(CacheIndex, RebuildsFromCorruptOrMissingIndex)
         cache.store("regions", 7, blob);
         cache.store("wholecache", 8, other);
     }
-    // Corrupt the index: the next open must fall back to a directory
-    // scan and still see both blobs.
-    {
-        std::ofstream out(dir + "/index.bin",
-                          std::ios::binary | std::ios::trunc);
-        out << "not an index";
-    }
-    {
-        ArtifactCache cache(dir);
-        CacheUsage u = cache.usage();
-        EXPECT_EQ(u.artifacts, 2u);
-        EXPECT_TRUE(cache.load("regions", 7).hit());
-        EXPECT_TRUE(cache.load("wholecache", 8).hit());
-    }
-    // Same story with the index deleted outright.
-    fs::remove(dir + "/index.bin");
-    {
-        ArtifactCache cache(dir);
-        EXPECT_EQ(cache.usage().artifacts, 2u);
-        EXPECT_TRUE(cache.load("regions", 7).hit());
-    }
-
-    // And with a version-1 index, as written before blob sharing was
-    // removed: checksum-valid, with a per-entry shared-reference list
-    // and a trailing shared sub-blob table, next to a stray
-    // "shared-<hash>.bin" sub-blob file.  Opening it must rebuild the
-    // index from a scan, so the stray file is indexed as an ordinary
-    // evictable blob and evictToBytes(0) reclaims it.
+    // What older layouts left behind: a version-1 index (checksum-
+    // valid, with a per-entry shared-reference list and a trailing
+    // shared sub-blob table), its lock file, and a stray
+    // "shared-<hash>.bin" sub-blob.  None is read; each is an
+    // ordinary evictable file and evictToBytes(0) reclaims it.
     const std::string stray = "shared-00000000deadbeef.bin";
     ByteWriter strayBlob;
     strayBlob.putRaw(patternBytes(120, 4).data(), 120);
@@ -156,9 +142,10 @@ TEST(CacheIndex, RebuildsFromCorruptOrMissingIndex)
         v1.put<u64>(128);
         ASSERT_TRUE(v1.saveFile(dir + "/index.bin"));
     }
+    std::ofstream(dir + "/index.lock");
     ArtifactCache cache(dir);
     CacheUsage u = cache.usage();
-    EXPECT_EQ(u.artifacts, 3u);
+    EXPECT_EQ(u.artifacts, 5u);
     EXPECT_TRUE(cache.load("regions", 7).hit());
     EXPECT_TRUE(cache.load("wholecache", 8).hit());
     EXPECT_EQ(cache.evictToBytes(0).residentBytes, 0u);
@@ -166,7 +153,43 @@ TEST(CacheIndex, RebuildsFromCorruptOrMissingIndex)
     EXPECT_EQ(cache.usage().artifacts, 0u);
 }
 
-TEST(CacheIndex, CountersRegisterEagerly)
+TEST(CacheDir, OverstatedIndexDoesNotAbort)
+{
+    // A checksum-valid version-2 index whose entry count (5)
+    // overstates its contents (none): 32 bytes with the checksum.
+    // Opening a cache over it, serving hits and evicting everything
+    // must all succeed.  Run in a child so an abort fails this test
+    // instead of killing the test binary.
+    std::string dir = freshDir("index-overstated");
+    ByteWriter blob;
+    blob.putRaw(patternBytes(200, 6).data(), 200);
+    {
+        ArtifactCache cache(dir);
+        for (u64 k = 1; k <= 3; ++k)
+            cache.store("simpoints", k, blob);
+    }
+    ByteWriter v2;
+    v2.put<u64>(0x53504c4142494458ULL); // "SPLABIDX"
+    v2.put<u32>(2);
+    v2.put<u64>(9); // stamp
+    v2.put<u32>(5); // entry count, with no entries following
+    ASSERT_TRUE(v2.saveFile(dir + "/index.bin"));
+    ASSERT_EQ(fs::file_size(dir + "/index.bin"), 32u);
+
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ArtifactCache cache(dir);
+        for (u64 k = 1; k <= 3; ++k)
+            if (!cache.load("simpoints", k).hit())
+                _exit(3);
+        _exit(cache.evictToBytes(0).residentBytes == 0 ? 0 : 4);
+    }
+    EXPECT_TRUE(exitedCleanly(pid));
+    EXPECT_TRUE(blobFiles(dir).empty());
+}
+
+TEST(CacheDir, CountersRegisterEagerly)
 {
     ArtifactCache cache(freshDir("counters"));
     std::map<std::string, u64> snap = obs::counterSnapshot();
@@ -202,6 +225,31 @@ TEST(CacheEviction, LruRespectsBudgetAndProtectsNewestStore)
     EXPECT_LE(u.residentBytes, bounded.maxBytes());
     EXPECT_TRUE(bounded.load("whole", 4).hit());
     EXPECT_FALSE(bounded.load("whole", 1).hit());
+}
+
+TEST(CacheEviction, HitRefreshesLruOrderAcrossInstances)
+{
+    std::string dir = freshDir("evict-refresh");
+    ByteWriter blob;
+    blob.putRaw(patternBytes(512, 8).data(), 512);
+    u64 perBlobBytes = 0;
+    {
+        ArtifactCache cache(dir);
+        cache.store("whole", 1, blob);
+        perBlobBytes = cache.usage().residentBytes;
+        cache.store("whole", 2, blob);
+        cache.store("whole", 3, blob);
+    }
+    // A hit through another instance makes key 1 the most recently
+    // used, so the budgeted store of key 4 evicts keys 2 and 3.
+    ASSERT_TRUE(ArtifactCache(dir).load("whole", 1).hit());
+    ArtifactCache bounded(dir, 2 * perBlobBytes + perBlobBytes / 2);
+    bounded.store("whole", 4, blob);
+    EXPECT_EQ(bounded.usage().artifacts, 2u);
+    EXPECT_TRUE(bounded.load("whole", 1).hit());
+    EXPECT_TRUE(bounded.load("whole", 4).hit());
+    EXPECT_EQ(bounded.load("whole", 2).status, CacheStatus::Miss);
+    EXPECT_EQ(bounded.load("whole", 3).status, CacheStatus::Miss);
 }
 
 TEST(CacheStress, ForkedWritersNeverExposeATornBlob)
@@ -257,35 +305,68 @@ TEST(CacheStress, ForkedWritersNeverExposeATornBlob)
     EXPECT_EQ(after.usage().artifacts, 1u);
 }
 
-TEST(CacheStress, ForkedStoresKeepIndexConsistent)
+TEST(CacheStress, ForkedBudgetedStoresStayWithinBudget)
 {
-    std::string dir = freshDir("fork-index");
+    std::string dir = freshDir("fork-budget");
     constexpr int kWriters = 6;
+    constexpr int kKeysEach = 4;
+    auto payload = [](u64 key) { return patternBytes(256, u8(key)); };
+    u64 perBlobBytes = 0;
+    {
+        std::string probeDir = freshDir("fork-budget-probe");
+        ArtifactCache probe(probeDir);
+        ByteWriter blob;
+        blob.putRaw(payload(0).data(), 256);
+        probe.store("stress", 0, blob);
+        perBlobBytes = probe.usage().residentBytes;
+        fs::remove_all(probeDir);
+    }
+    const u64 budget = 3 * perBlobBytes + perBlobBytes / 2;
+
     std::vector<pid_t> kids;
     for (int w = 0; w < kWriters; ++w) {
         pid_t pid = fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
-            ArtifactCache cache(dir);
-            ByteWriter blob;
-            std::vector<u8> bytes = patternBytes(256, u8(40 + w));
-            blob.putRaw(bytes.data(), bytes.size());
-            cache.store("stress", u64(w), blob);
-            _exit(cache.load("stress", u64(w)).hit() ? 0 : 5);
+            // Child: store distinct keys while the others evict.  Its
+            // own blob may already be evicted when it reads it back,
+            // so a miss is fine; a corrupt or short blob is not.
+            ArtifactCache cache(dir, budget);
+            for (int i = 0; i < kKeysEach; ++i) {
+                u64 key = u64(w * kKeysEach + i);
+                ByteWriter blob;
+                blob.putRaw(payload(key).data(), 256);
+                cache.store("stress", key, blob);
+                CacheOutcome got = cache.load("stress", key);
+                if (got.status == CacheStatus::Corrupt)
+                    _exit(3);
+                if (got.hit() && got->getRaw(256) != payload(key))
+                    _exit(4);
+            }
+            _exit(0);
         }
         kids.push_back(pid);
     }
-    for (pid_t pid : kids) {
-        int status = 0;
-        ASSERT_EQ(waitpid(pid, &status, 0), pid);
-        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-    }
-    // Every writer's entry survived the concurrent flock'd
-    // read-modify-write cycles on the index.
+    for (pid_t pid : kids)
+        EXPECT_TRUE(exitedCleanly(pid)) << "writer " << pid;
+
     ArtifactCache after(dir);
-    EXPECT_EQ(after.usage().artifacts, u64(kWriters));
-    for (int w = 0; w < kWriters; ++w)
-        EXPECT_TRUE(after.load("stress", u64(w)).hit()) << w;
+    CacheUsage u = after.usage();
+    EXPECT_LE(u.residentBytes, budget);
+    EXPECT_GE(u.artifacts, 1u);
+    u64 survivors = 0;
+    for (u64 key = 0; key < u64(kWriters * kKeysEach); ++key) {
+        CacheOutcome got = after.load("stress", key);
+        EXPECT_NE(got.status, CacheStatus::Corrupt) << key;
+        if (!got.hit())
+            continue;
+        ++survivors;
+        ASSERT_EQ(got->remaining(), 256u) << key;
+        EXPECT_EQ(got->getRaw(256), payload(key)) << key;
+    }
+    EXPECT_EQ(survivors, u.artifacts);
+    for (const std::string &name : blobFiles(dir))
+        EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
 }
 
 } // namespace

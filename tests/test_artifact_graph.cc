@@ -377,21 +377,13 @@ TEST(ArtifactGraphCache, ColdThenWarmRunsAreByteIdentical)
     std::filesystem::remove_all(dir);
 }
 
-/**
- * Raw bytes of every *blob* file in @p dir, keyed by filename.  The
- * cache's bookkeeping files ("index.bin", "index.lock") are skipped:
- * the index records scheduling-dependent last-use stamps, so only
- * the content-addressed blobs are comparable across runs and thread
- * counts.
- */
+/** Raw bytes of every file in @p dir, keyed by filename. */
 std::map<std::string, std::vector<char>>
 dirContents(const std::string &dir)
 {
     std::map<std::string, std::vector<char>> out;
     for (const auto &e : std::filesystem::directory_iterator(dir)) {
         std::string name = e.path().filename().string();
-        if (name.rfind("index.", 0) == 0)
-            continue;
         std::ifstream f(e.path(), std::ios::binary);
         out[name] = {std::istreambuf_iterator<char>(f),
                      std::istreambuf_iterator<char>()};

@@ -323,12 +323,9 @@ TEST(ObsCache, OutcomeDistinguishesHitMissCorruptDisabled)
     EXPECT_EQ(hit->get<u64>(), 0xfeedULL);
 
     // Truncate the stored blob: the checksum no longer validates and
-    // the lookup must say Corrupt, not Hit or Miss.  Skip the
-    // cache's index files — only the artifact blob is the target.
+    // the lookup must say Corrupt, not Hit or Miss.
     std::size_t corrupted = 0;
     for (const auto &ent : std::filesystem::directory_iterator(dir)) {
-        if (ent.path().filename().string().rfind("index.", 0) == 0)
-            continue;
         std::filesystem::resize_file(ent.path(), 3);
         ++corrupted;
     }
