@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include <dirent.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -88,9 +91,27 @@ struct BlobFile
     u64 size = 0;
 };
 
+/** True for a store() temporary (`<blob>.tmp.<pid>.<seq>`) whose
+ *  writer process no longer exists: it died before its rename, and
+ *  nothing will ever publish or remove the file. */
+bool
+orphanedTemp(const std::string &name)
+{
+    std::size_t at = name.find(".tmp.");
+    if (at == std::string::npos)
+        return false;
+    const char *digits = name.c_str() + at + 5;
+    char *end = nullptr;
+    long pid = std::strtol(digits, &end, 10);
+    if (end == digits || *end != '.' || pid <= 0)
+        return false;
+    return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
+}
+
 /** Every published blob under @p root, least recently used first
- *  (ties by name).  Unpublished temporaries and dot-files are not
- *  blobs; every other regular file, whatever wrote it, is. */
+ *  (ties by name).  Dot-files and the temporaries of live writers
+ *  are not blobs; every other regular file, whatever wrote it, is,
+ *  orphaned temporaries included. */
 std::vector<BlobFile>
 scanBlobs(const std::string &root)
 {
@@ -101,8 +122,9 @@ scanBlobs(const std::string &root)
         return blobs;
     while (const dirent *e = ::readdir(dir.get())) {
         std::string name = e->d_name;
-        if (name.find(".tmp.") != std::string::npos ||
-            name.rfind(".", 0) == 0)
+        if (name.rfind(".", 0) == 0 ||
+            (name.find(".tmp.") != std::string::npos &&
+             !orphanedTemp(name)))
             continue;
         // One stat for type, size and mtime; a file removed since
         // the directory read fails it and is skipped.

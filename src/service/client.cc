@@ -18,74 +18,93 @@ namespace service
 namespace
 {
 
-/** Connected socket with close-on-scope-exit; fd() < 0 on failure. */
-class Connection
+/** A new connection to the daemon at @p path; -1 on failure. */
+int
+connectTo(const std::string &path)
 {
-  public:
-    explicit Connection(const std::string &path)
-    {
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (path.size() >= sizeof(addr.sun_path))
-            return; // longer than the AF_UNIX limit: can't exist
-        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-        sock = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if (sock < 0)
-            return;
-        if (::connect(sock, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(sock);
-            sock = -1;
-        }
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (path.size() >= sizeof(addr.sun_path))
+        return -1; // longer than the AF_UNIX limit: can't exist
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                             sizeof(addr)) != 0) {
+        ::close(fd);
+        fd = -1;
     }
+    return fd;
+}
 
-    ~Connection()
-    {
-        if (sock >= 0)
-            ::close(sock);
+/** Send @p frame on @p fd and read the whole response, payload
+ *  included, so the connection ends on a frame boundary. */
+bool
+exchange(int fd, const std::vector<u8> &frame, ResponseHeader &header,
+         std::vector<u8> &payload)
+{
+    static obs::Counter &requests =
+        obs::counter("service.client.requests",
+                     "requests sent to the splabd daemon");
+    requests.add();
+    std::vector<u8> headerFrame;
+    if (!sendFrame(fd, frame.data(), frame.size()) ||
+        !recvFrame(fd, headerFrame) ||
+        !decodeResponseHeader(headerFrame, header))
+        return false;
+    payload.clear();
+    if (header.status != Status::Ok)
+        return true;
+    payload.reserve(header.payloadBytes);
+    std::vector<u8> chunk;
+    while (payload.size() < header.payloadBytes) {
+        if (!recvFrame(fd, chunk) || chunk.empty() ||
+            payload.size() + chunk.size() > header.payloadBytes)
+            return false;
+        payload.insert(payload.end(), chunk.begin(), chunk.end());
     }
-
-    Connection(const Connection &) = delete;
-    Connection &operator=(const Connection &) = delete;
-
-    int fd() const { return sock; }
-
-  private:
-    int sock = -1;
-};
+    return true;
+}
 
 } // namespace
+
+ServiceClient::~ServiceClient()
+{
+    for (int fd : idle)
+        ::close(fd);
+}
 
 bool
 ServiceClient::roundTrip(const Request &req, ResponseHeader &header,
                          std::vector<u8> *payload) const
 {
-    static obs::Counter &requests =
-        obs::counter("service.client.requests",
-                     "requests sent to the splabd daemon");
-
-    Connection conn(sock);
-    if (conn.fd() < 0)
-        return false;
-    requests.add();
     std::vector<u8> frame = encodeRequest(req);
-    if (!sendFrame(conn.fd(), frame.data(), frame.size()))
-        return false;
-    std::vector<u8> headerFrame;
-    if (!recvFrame(conn.fd(), headerFrame) ||
-        !decodeResponseHeader(headerFrame, header))
-        return false;
-    if (header.status != Status::Ok || !payload)
-        return true;
-    payload->clear();
-    payload->reserve(header.payloadBytes);
-    std::vector<u8> chunk;
-    while (payload->size() < header.payloadBytes) {
-        if (!recvFrame(conn.fd(), chunk) || chunk.empty() ||
-            payload->size() + chunk.size() > header.payloadBytes)
-            return false;
-        payload->insert(payload->end(), chunk.begin(), chunk.end());
+    std::vector<u8> scratch;
+    std::vector<u8> &out = payload ? *payload : scratch;
+    int fd = -1;
+    {
+        std::lock_guard<std::mutex> g(mtx);
+        if (!idle.empty()) {
+            fd = idle.back();
+            idle.pop_back();
+        }
     }
+    // A reused connection the daemon has since dropped (idle
+    // deadline, restart) fails here; retry once on a fresh one.
+    if (fd >= 0 && !exchange(fd, frame, header, out)) {
+        ::close(fd);
+        fd = -1;
+    }
+    if (fd < 0) {
+        fd = connectTo(sock);
+        if (fd < 0)
+            return false;
+        if (!exchange(fd, frame, header, out)) {
+            ::close(fd);
+            return false;
+        }
+    }
+    std::lock_guard<std::mutex> g(mtx);
+    idle.push_back(fd);
     return true;
 }
 

@@ -2,15 +2,20 @@
  * @file
  * Client side of the splabd artifact service.
  *
- * A ServiceClient is a thin, connection-per-request wrapper over the
- * wire protocol (see protocol.hh): every call connects to the
- * daemon's Unix-domain socket, performs one request/response
- * exchange and closes.  Connections to a local socket are cheap, and
- * one-connection-per-request gives the daemon natural per-request
- * parallelism (it serves each connection on its own thread) without
- * any client-side multiplexing state — which also makes the client
- * trivially thread-safe: concurrent calls just open concurrent
- * connections.
+ * A ServiceClient keeps its connections to the daemon's Unix-domain
+ * socket open between calls: each request/response exchange borrows
+ * an idle connected socket from a small mutex-guarded stack (or
+ * connects when none is free) and returns it after a complete
+ * response, so a client making many fetches costs the daemon one
+ * accept and one handler thread, not one per fetch.  Concurrent
+ * calls on one client borrow separate connections, which keeps the
+ * client thread-safe and lets the daemon serve them in parallel.
+ *
+ * A reused connection may have gone stale: the daemon drops a
+ * connection idle past its deadline, and a restarted daemon has
+ * none of the old ones.  An exchange that fails on a reused
+ * connection is therefore retried once on a fresh one; every op is
+ * idempotent, so the retry is safe.
  *
  * Every method reports failure by return value (nullopt / false) and
  * never throws or aborts: the caller (RemoteBackend) treats any
@@ -21,6 +26,7 @@
 #define SPLAB_SERVICE_CLIENT_HH
 
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,6 +47,11 @@ class ServiceClient
         : sock(std::move(socketPath))
     {
     }
+
+    ~ServiceClient(); ///< closes the idle connections
+
+    ServiceClient(const ServiceClient &) = delete;
+    ServiceClient &operator=(const ServiceClient &) = delete;
 
     const std::string &path() const { return sock; }
 
@@ -83,12 +94,15 @@ class ServiceClient
     bool requestShutdown() const;
 
   private:
-    /** One connect + request + response exchange; @p payload (when
-     *  non-null) receives the streamed data frames. */
+    /** One request + response exchange on a pooled connection,
+     *  retried once on a fresh one when a reused connection fails;
+     *  @p payload (when non-null) receives the streamed data frames. */
     bool roundTrip(const Request &req, ResponseHeader &header,
                    std::vector<u8> *payload) const;
 
     std::string sock;
+    mutable std::mutex mtx;
+    mutable std::vector<int> idle; ///< connected fds between calls
 };
 
 } // namespace service

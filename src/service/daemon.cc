@@ -5,6 +5,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -187,6 +188,13 @@ ServiceDaemon::acceptLoop()
         int fd = ::accept(listenFd, nullptr, nullptr);
         if (fd < 0)
             continue;
+        // A blocked recv or send past the deadline fails, which ends
+        // the handler's request loop and closes the connection.
+        timeval deadline{kConnectionDeadline.count(), 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline,
+                     sizeof(deadline));
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &deadline,
+                     sizeof(deadline));
         connectionsCounter().add();
         std::lock_guard<std::mutex> g(mtx);
         handlers.emplace(fd, std::thread([this, fd] { handle(fd); }));

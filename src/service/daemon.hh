@@ -14,13 +14,20 @@
  *
  * Threading: one acceptor thread polls the listening socket (200 ms
  * tick, so stop() is prompt) and hands each connection to its own
- * handler thread; handlers run graph computations inline, which fan
- * out onto the global ThreadPool exactly as a local run would.
- * A handler that finishes hands its own thread to a reap list, which
- * the acceptor joins on its next tick, so live handler threads track
- * open connections rather than the daemon's lifetime request count.
- * stop() joins every handler, live or finished; live connections are
- * shut down first so no handler blocks stop() indefinitely.
+ * handler thread, which serves request frames until the client
+ * closes the connection.  Clients keep their connections open
+ * between requests (see client.hh), so a handler lives as long as
+ * its connection, and every accepted socket carries a receive and a
+ * send deadline (kConnectionDeadline): a connection idle, or a
+ * client stalled, for that long is closed and its handler ends
+ * rather than pinning a thread forever.  Handlers run graph
+ * computations inline, which fan out onto the global ThreadPool
+ * exactly as a local run would.  A handler that finishes hands its
+ * own thread to a reap list, which the acceptor joins on its next
+ * tick, so live handler threads track open connections rather than
+ * the daemon's lifetime request count.  stop() joins every handler,
+ * live or finished; live connections are shut down first so no
+ * handler blocks stop() indefinitely.
  *
  * The daemon's graphs always use the *local* artifact backend
  * (makeLocalBackend), never makeBackend(): splabd itself runs with
@@ -37,6 +44,7 @@
 #define SPLAB_SERVICE_DAEMON_HH
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,6 +59,11 @@ namespace splab
 {
 namespace service
 {
+
+/** How long a handler waits on an idle connection for the next
+ *  request, or on a stalled client to take a response, before it
+ *  closes the connection. */
+constexpr std::chrono::seconds kConnectionDeadline{3};
 
 class ServiceDaemon
 {

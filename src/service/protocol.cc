@@ -1,9 +1,11 @@
 #include "protocol.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace splab
@@ -194,25 +196,6 @@ namespace
 {
 
 bool
-writeAll(int fd, const void *data, std::size_t n)
-{
-    const u8 *p = static_cast<const u8 *>(data);
-    while (n > 0) {
-        ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (w == 0)
-            return false;
-        p += w;
-        n -= static_cast<std::size_t>(w);
-    }
-    return true;
-}
-
-bool
 readAll(int fd, void *data, std::size_t n)
 {
     u8 *p = static_cast<u8 *>(data);
@@ -238,8 +221,39 @@ sendFrame(int fd, const void *data, std::size_t n)
 {
     if (n > kMaxFrameBytes)
         return false;
+    // Length prefix and body go out in one sendmsg; a partial write
+    // advances across the two entries and sends the rest.
     u32 len = static_cast<u32>(n);
-    return writeAll(fd, &len, sizeof(len)) && writeAll(fd, data, n);
+    iovec iov[2] = {{&len, sizeof(len)},
+                    {const_cast<void *>(data), n}};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    std::size_t left = sizeof(len) + n;
+    while (left > 0) {
+        ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        if (w == 0)
+            return false;
+        std::size_t done = static_cast<std::size_t>(w);
+        left -= done;
+        while (done > 0) {
+            std::size_t step = std::min(done, msg.msg_iov->iov_len);
+            msg.msg_iov->iov_base =
+                static_cast<u8 *>(msg.msg_iov->iov_base) + step;
+            msg.msg_iov->iov_len -= step;
+            done -= step;
+            if (msg.msg_iov->iov_len == 0) {
+                ++msg.msg_iov;
+                --msg.msg_iovlen;
+            }
+        }
+    }
+    return true;
 }
 
 bool

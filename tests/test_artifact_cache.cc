@@ -7,7 +7,8 @@
  * multi-process safety of store/load (N forked writers racing on
  * one key must each read back whole blobs and leave exactly one
  * healthy blob; budgeted writers racing on distinct keys must leave
- * the directory within budget and every survivor whole).
+ * the directory within budget and every survivor whole), and the
+ * reclaiming of temp files whose writer died before publishing.
  */
 
 #include <gtest/gtest.h>
@@ -187,6 +188,34 @@ TEST(CacheDir, OverstatedIndexDoesNotAbort)
     }
     EXPECT_TRUE(exitedCleanly(pid));
     EXPECT_TRUE(blobFiles(dir).empty());
+}
+
+TEST(CacheDir, OrphanedTempFilesAreEvictableBlobs)
+{
+    // A writer that died between its temp write and its rename
+    // leaves "<blob>.tmp.<pid>.<seq>" behind for good.  Name one
+    // after a forked child that has exited and been reaped, so no
+    // process owns it: evictToBytes(0) must reclaim it.  A temp
+    // file owned by a live process (this one) stays untouched.
+    std::string dir = freshDir("orphaned-temp");
+    ArtifactCache cache(dir);
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0)
+        _exit(0);
+    ASSERT_TRUE(exitedCleanly(pid));
+    ByteWriter blob;
+    blob.putRaw(patternBytes(100, 3).data(), 100);
+    const std::string orphan = "simpoints-00000000000000aa.bin.tmp." +
+                               std::to_string(pid) + ".0";
+    const std::string live = "simpoints-00000000000000bb.bin.tmp." +
+                             std::to_string(getpid()) + ".0";
+    ASSERT_TRUE(blob.saveFile(dir + "/" + orphan));
+    ASSERT_TRUE(blob.saveFile(dir + "/" + live));
+
+    EXPECT_EQ(cache.usage().artifacts, 1u);
+    EXPECT_EQ(cache.evictToBytes(0).residentBytes, 0u);
+    EXPECT_EQ(blobFiles(dir), std::set<std::string>{live});
 }
 
 TEST(CacheDir, CountersRegisterEagerly)

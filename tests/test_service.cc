@@ -6,21 +6,27 @@
  * invalid requests, transparent RemoteBackend operation through
  * SPLAB_SERVICE (including local fallback when no daemon answers),
  * per-config graph isolation, handler-thread reaping across many
- * sequential connections, and global coalescing of concurrent cold
- * requests across client connections.
+ * sequential connections, persistent client connections (one per
+ * client, one per concurrent caller, retried across a daemon
+ * restart or an idle deadline), the daemon's per-connection
+ * deadline, and global coalescing of concurrent cold requests
+ * across client connections.
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -549,21 +555,21 @@ procMaps()
 
 TEST(Daemon, ReapsHandlerThreadsAcrossManySequentialRequests)
 {
-    // Clients open one connection per request.  A daemon that kept
-    // every finished handler thread until stop() would grow one
-    // thread stack per request and eventually fail to spawn
+    // One-shot callers (splabd --stats, say) build a client per
+    // request, so each request is its own connection.  A daemon that
+    // kept every finished handler thread until stop() would grow one
+    // thread stack per connection and eventually fail to spawn
     // handlers; live handler threads must track open connections.
     ServiceDaemon daemon(sockPath("reap"),
                          std::make_shared<const ArtifactCache>(
                              ArtifactCache("")));
     ASSERT_TRUE(daemon.start());
-    ServiceClient client(daemon.path());
-    ASSERT_TRUE(client.ping());
+    ASSERT_TRUE(ServiceClient(daemon.path()).ping());
     const std::size_t baseTasks = procEntries("/proc/self/task");
     const std::size_t baseMaps = procMaps();
     std::size_t failed = 0, peakTasks = 0, peakMaps = 0;
     for (int i = 0; i < 5000; ++i) {
-        failed += client.ping() ? 0 : 1;
+        failed += ServiceClient(daemon.path()).ping() ? 0 : 1;
         if (i % 250 == 0) {
             peakTasks = std::max(peakTasks,
                                  procEntries("/proc/self/task"));
@@ -573,6 +579,190 @@ TEST(Daemon, ReapsHandlerThreadsAcrossManySequentialRequests)
     EXPECT_EQ(failed, 0u);
     EXPECT_LE(peakTasks, baseTasks + 4);
     EXPECT_LE(peakMaps, baseMaps + 256);
+    daemon.stop();
+}
+
+u64
+connectionsAccepted()
+{
+    return obs::counter("service.connections").value();
+}
+
+TEST(Daemon, PersistentClientReusesOneConnection)
+{
+    ExperimentConfig cfg = fastConfig();
+    ServiceDaemon daemon(sockPath("persist"),
+                         std::make_shared<const ArtifactCache>(
+                             ArtifactCache(freshDir("persist"))));
+    ASSERT_TRUE(daemon.start());
+    const u64 before = connectionsAccepted();
+    ServiceClient client(daemon.path());
+    std::size_t failed = 0;
+    for (int i = 0; i < 1000; ++i)
+        failed += client
+                          .ensureArtifact(
+                              kBench,
+                              static_cast<u8>(ArtifactKind::SimPoints),
+                              cfg.contentHash(), wireConfig(cfg))
+                          .has_value()
+                      ? 0
+                      : 1;
+    EXPECT_EQ(failed, 0u);
+    EXPECT_EQ(connectionsAccepted() - before, 1u);
+    daemon.stop();
+}
+
+TEST(Daemon, SharedClientServesConcurrentThreads)
+{
+    // RemoteBackend shares one client across pool threads: each
+    // concurrent call needs its own connection, and every payload
+    // must still arrive whole and in order.
+    ExperimentConfig cfg = fastConfig();
+    ServiceDaemon daemon(sockPath("shared"),
+                         std::make_shared<const ArtifactCache>(
+                             ArtifactCache(freshDir("shared"))));
+    ASSERT_TRUE(daemon.start());
+    const ArtifactKind kinds[] = {ArtifactKind::BbvProfile,
+                                  ArtifactKind::SimPoints,
+                                  ArtifactKind::Regions};
+    ArtifactGraph local(cfg, std::make_shared<const ArtifactCache>(
+                                 ArtifactCache("")));
+    std::vector<std::vector<u8>> want;
+    for (ArtifactKind k : kinds)
+        want.push_back(local.ensureSerialized(kBench, k));
+
+    constexpr int kThreads = 8;
+    const u64 before = connectionsAccepted();
+    ServiceClient client(daemon.path());
+    std::size_t wrong[kThreads] = {};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 200; ++i) {
+                std::size_t k = std::size_t(t + i) % want.size();
+                auto got = client.ensureArtifact(
+                    kBench, static_cast<u8>(kinds[k]),
+                    cfg.contentHash(), wireConfig(cfg));
+                wrong[t] += got && *got == want[k] ? 0 : 1;
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(wrong[t], 0u) << "thread " << t;
+    EXPECT_LE(connectionsAccepted() - before, u64(kThreads));
+    daemon.stop();
+}
+
+TEST(Daemon, ClientReconnectsToRestartedDaemon)
+{
+    ExperimentConfig cfg = fastConfig();
+    const std::string path = sockPath("restart");
+    const std::string dir = freshDir("restart");
+    auto fetch = [&](const ServiceClient &client) {
+        return client.ensureArtifact(
+            kBench, static_cast<u8>(ArtifactKind::SimPoints),
+            cfg.contentHash(), wireConfig(cfg));
+    };
+    ServiceClient client(path);
+    std::optional<std::vector<u8>> first;
+    {
+        ServiceDaemon daemon(path, std::make_shared<const ArtifactCache>(
+                                       ArtifactCache(dir)));
+        ASSERT_TRUE(daemon.start());
+        first = fetch(client);
+        ASSERT_TRUE(first.has_value());
+        daemon.stop();
+    }
+    // The client's idle connection died with the first daemon; the
+    // next fetch must retry on a fresh connection, not fail.
+    ServiceDaemon daemon(path, std::make_shared<const ArtifactCache>(
+                                   ArtifactCache(dir)));
+    ASSERT_TRUE(daemon.start());
+    auto second = fetch(client);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(*second, *first);
+    daemon.stop();
+}
+
+/** Seconds since an arbitrary fixed point (steady clock). */
+double
+nowSeconds()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+TEST(Daemon, ClosesIdleConnectionAtDeadline)
+{
+    ServiceDaemon daemon(sockPath("idle"),
+                         std::make_shared<const ArtifactCache>(
+                             ArtifactCache("")));
+    ASSERT_TRUE(daemon.start());
+    ASSERT_TRUE(ServiceClient(daemon.path()).ping());
+    // The ping's handler is reaped within an acceptor tick or two.
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const std::size_t baseTasks = procEntries("/proc/self/task");
+
+    int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, daemon.path().c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof(addr)),
+              0);
+    // Send nothing.  The daemon must close its end once the deadline
+    // passes: our read then sees end-of-file, not our own timeout.
+    const double deadline = double(service::kConnectionDeadline.count());
+    timeval limit{service::kConnectionDeadline.count() + 3, 0};
+    ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit,
+                         sizeof(limit)),
+              0);
+    const double t0 = nowSeconds();
+    char byte = 0;
+    EXPECT_EQ(recv(fd, &byte, 1, 0), 0);
+    const double waited = nowSeconds() - t0;
+    close(fd);
+    EXPECT_GE(waited, deadline - 0.5);
+    EXPECT_LE(waited, deadline + 1.5);
+
+    // Its handler thread ends and is reaped.
+    std::size_t tasks = procEntries("/proc/self/task");
+    for (int i = 0; i < 40 && tasks > baseTasks; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        tasks = procEntries("/proc/self/task");
+    }
+    EXPECT_LE(tasks, baseTasks);
+    EXPECT_TRUE(ServiceClient(daemon.path()).ping());
+    daemon.stop();
+}
+
+TEST(Daemon, ClientIdlePastDeadlineRetriesOnFreshConnection)
+{
+    ExperimentConfig cfg = fastConfig();
+    ServiceDaemon daemon(sockPath("idleclient"),
+                         std::make_shared<const ArtifactCache>(
+                             ArtifactCache(freshDir("idleclient"))));
+    ASSERT_TRUE(daemon.start());
+    ServiceClient client(daemon.path());
+    auto fetch = [&] {
+        return client.ensureArtifact(
+            kBench, static_cast<u8>(ArtifactKind::SimPoints),
+            cfg.contentHash(), wireConfig(cfg));
+    };
+    const u64 before = connectionsAccepted();
+    auto first = fetch();
+    ASSERT_TRUE(first.has_value());
+    std::this_thread::sleep_for(service::kConnectionDeadline +
+                                std::chrono::seconds(1));
+    auto second = fetch();
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(*second, *first);
+    // The daemon dropped the idle connection; the retry opened one.
+    EXPECT_EQ(connectionsAccepted() - before, 2u);
     daemon.stop();
 }
 
