@@ -102,8 +102,8 @@ constexpr double kSqShrink = 1.0 - kBoundMargin;   // squared space
 constexpr double kAbsSlackDist = 1e-140;
 constexpr double kAbsSlackSq = 1e-280;
 
-/** Sentinel for "no cached centroid distance" in scanPoint. */
-constexpr u32 kNoCached = ~static_cast<u32>(0);
+/** Sentinel for "no incumbent" in scanPoint. */
+constexpr u32 kNoStart = ~static_cast<u32>(0);
 
 /** Conservative lower bound on the runner-up distance from a scan's
  *  second-best computed squared distance.  second2 stays kMaxD when
@@ -118,23 +118,26 @@ lowerBoundFromSecond(double second2)
 }
 
 /**
- * Index-order nearest-centroid scan tracking best and second-best
- * computed squared distances.  Bit-equivalent to the brute scan for
- * (best, bestC): with @p geo, a candidate is skipped only when the
+ * Nearest-centroid scan tracking best and second-best computed
+ * squared distances.  It keeps the (distance, index) minimum, which
+ * is the brute index-order strict-`<` scan's answer in any visiting
+ * order, so the scan may start from an incumbent: with @p startC, it
+ * starts at that centroid's already computed distance @p startD2 and
+ * pruning is tight from the first candidate visited.  (A start at or
+ * beyond kMaxD is dropped: the brute scan's starting state (kMaxD, 0)
+ * would beat it.)  With @p geo, a candidate is skipped only when the
  * triangle inequality proves its computed distance strictly exceeds
- * the current *second*-best — which also proves the brute scan's
- * `d < best` comparison false.  The final second2 remains a valid
- * input for a runner-up lower bound: every skipped candidate was
- * proven farther than the second-best at skip time, and second2
- * only shrinks afterwards.
+ * the current *second*-best, so it can neither be nor tie the
+ * minimum.  The final second2 remains a valid input for a runner-up
+ * lower bound: every skipped candidate was proven farther than the
+ * second-best at skip time, and second2 only shrinks afterwards.
  *
- * @param cachedC centroid whose exact distance the caller already
- *                computed this iteration (kNoCached = none); reused
- *                bit-for-bit instead of re-evaluating.
+ * @param startC centroid to start from (kNoStart = none, the plain
+ *               index-order scan)
  */
 void
 scanPoint(const double *p, std::size_t dim, const DenseMatrix &cents,
-          const NearestCentroids *geo, u32 cachedC, double cachedD2,
+          const NearestCentroids *geo, u32 startC, double startD2,
           double &best, u32 &bestC, double &second2,
           DistanceKernelStats &st)
 {
@@ -142,32 +145,33 @@ scanPoint(const double *p, std::size_t dim, const DenseMatrix &cents,
     best = kMaxD;
     second2 = kMaxD;
     bestC = 0;
-    double ubNow = 0.0;  // inflated sqrt(best) once best is set
-    double slbNow = 0.0; // deflated sqrt(second2), +inf until set
-    const double inf = std::numeric_limits<double>::infinity();
+    double ubNow = 0.0; // inflated sqrt(best) once best is set
+    // deflated sqrt(second2), +inf until set
+    double slbNow = std::numeric_limits<double>::infinity();
+    if (startC != kNoStart && startD2 < kMaxD) {
+        best = startD2;
+        bestC = startC;
+        ubNow = std::sqrt(best) * kDistGrow;
+    }
     for (u32 c = 0; c < k; ++c) {
+        if (c == startC)
+            continue;
         if (geo && best < kMaxD &&
             2.0 * geo->halfLowAt(bestC, c) - ubNow >
                 slbNow + kAbsSlackDist) {
             ++st.pruned;
             continue;
         }
-        double d;
-        if (c == cachedC) {
-            d = cachedD2;
-        } else {
-            d = squaredDistance(p, cents.row(c), dim);
-            ++st.computed;
-        }
-        if (d < best) {
+        double d = squaredDistance(p, cents.row(c), dim);
+        ++st.computed;
+        if (d < best || (d == best && c < bestC)) {
             second2 = best;
             best = d;
             bestC = c;
             if (geo) {
                 ubNow = std::sqrt(best) * kDistGrow;
-                slbNow = second2 < kMaxD
-                             ? std::sqrt(second2) * kDistShrink
-                             : inf;
+                if (second2 < kMaxD)
+                    slbNow = std::sqrt(second2) * kDistShrink;
             }
         } else if (d < second2) {
             second2 = d;
@@ -192,70 +196,113 @@ struct AssignAccum
     DistanceKernelStats stats;
 };
 
+/** Every point's nearest k-means++ seed, exactly as Lloyd's first
+ *  assignment pass over the seeds would find it. */
+struct SeedAssignment
+{
+    std::vector<double> d2;   ///< exact squared distance to it
+    std::vector<u32> bestIdx; ///< the earliest of the nearest seeds
+    /** Squared conservative lower bound on the distance to every
+     *  other seed (pruned seeding only). */
+    std::vector<double> runner2;
+};
+
 /**
  * k-means++ initial centroid selection (sequential: each draw
- * conditions on the previous centroid).  d2[i] tracks the exact
+ * conditions on the previous centroid).  sa.d2[i] tracks the exact
  * squared distance from point i to its closest placed centroid, and
- * bestIdx[i] which centroid achieves it; with @p accel, a point
- * skips the distance to the newest centroid when a quarter of the
- * (deflated) squared centroid-to-centroid distance provably exceeds
- * d2[i] — by the triangle inequality the newest centroid is then
- * strictly farther, so d2, the sampling weights, and every RNG draw
- * stay bit-identical to the brute pass.
+ * sa.bestIdx[i] the earliest centroid that achieves it (strict `<`,
+ * the brute scan's rule); with @p accel, a point skips the distance
+ * to the newest centroid when a quarter of the (deflated) squared
+ * centroid-to-centroid distance provably exceeds d2[i] — by the
+ * triangle inequality the newest centroid is then strictly farther,
+ * so d2, the sampling weights, and every RNG draw stay bit-identical
+ * to the brute pass.
+ *
+ * With @p accel the last seed is folded in as well (it draws no
+ * RNG), so @p sa holds Lloyd's first assignment pass, and
+ * sa.runner2[i] bounds the runner-up from below: the exact distances
+ * to the other seeds it computed, and D(best, s) - d(p, best) for
+ * each seed s it skipped.
  */
 DenseMatrix
 seedCentroids(const DenseMatrix &points, u32 k, Rng &rng, bool accel,
-              DistanceKernelStats &st)
+              SeedAssignment &sa, DistanceKernelStats &st)
 {
+    const std::size_t n = points.rows();
     const std::size_t dim = points.cols();
     DenseMatrix centroids(k, dim);
-    u32 placed = 0;
-    centroids.setRow(placed++, points.row(rng.below(points.rows())));
+    sa.d2.assign(n, kMaxD);
+    sa.bestIdx.assign(n, 0);
+    std::vector<double> ubD; // inflated sqrt(d2), for skipped seeds
+    if (accel) {
+        sa.runner2.assign(n, kMaxD);
+        ubD.assign(n, 0.0);
+    }
+    std::vector<double> quarterLow, distLow;
 
-    std::vector<double> d2(points.rows(), kMaxD);
-    std::vector<u32> bestIdx(points.rows(), 0);
-    std::vector<double> quarterLow;
-    while (placed < k) {
-        double total = 0.0;
-        const u32 lastIdx = placed - 1;
-        const double *last = centroids.row(lastIdx);
-        const bool prune = accel && lastIdx >= 1;
+    // Fold seed s into every point's nearest-seed state; returns the
+    // k-means++ sampling total.
+    auto absorb = [&](u32 s) {
+        const double *seed = centroids.row(s);
+        const bool prune = accel && s >= 1;
         if (prune) {
-            quarterLow.assign(lastIdx, 0.0);
-            for (u32 j = 0; j < lastIdx; ++j)
-                quarterLow[j] = 0.25 *
-                                squaredDistance(centroids.row(j),
-                                                last, dim) *
-                                kSqShrink;
-            st.computed += lastIdx;
+            quarterLow.resize(s);
+            distLow.resize(s);
+            for (u32 j = 0; j < s; ++j) {
+                double dd =
+                    squaredDistance(centroids.row(j), seed, dim);
+                // An overflowed distance collapses to 0, which never
+                // licenses a skip.
+                double low = std::isfinite(dd) ? dd * kSqShrink : 0.0;
+                quarterLow[j] = 0.25 * low;
+                distLow[j] = std::sqrt(low);
+            }
+            st.computed += s;
         }
-        for (std::size_t i = 0; i < points.rows(); ++i) {
-            if (prune && quarterLow[bestIdx[i]] >
-                             d2[i] * kSqGrow + kAbsSlackSq) {
+        double total = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const u32 b = sa.bestIdx[i];
+            if (prune &&
+                quarterLow[b] > sa.d2[i] * kSqGrow + kAbsSlackSq) {
                 ++st.pruned;
-                total += d2[i];
+                double lo = std::max(distLow[b] - ubD[i], 0.0);
+                sa.runner2[i] = std::min(sa.runner2[i], lo * lo);
+                total += sa.d2[i];
                 continue;
             }
-            double d = squaredDistance(points.row(i), last, dim);
+            double d = squaredDistance(points.row(i), seed, dim);
             ++st.computed;
-            if (d < d2[i]) {
-                d2[i] = d;
-                bestIdx[i] = lastIdx;
+            if (d < sa.d2[i]) {
+                if (accel) {
+                    sa.runner2[i] = std::min(sa.runner2[i], sa.d2[i]);
+                    ubD[i] = std::sqrt(d) * kDistGrow;
+                }
+                sa.d2[i] = d;
+                sa.bestIdx[i] = s;
+            } else if (accel && d < sa.runner2[i]) {
+                sa.runner2[i] = d;
             }
-            total += d2[i];
+            total += sa.d2[i];
         }
+        return total;
+    };
+
+    u32 placed = 0;
+    centroids.setRow(placed++, points.row(rng.below(n)));
+    while (placed < k) {
+        double total = absorb(placed - 1);
         if (total <= 0.0) {
             // All remaining points coincide with a centroid; pad
             // with duplicates (clusters will come back empty).
-            centroids.setRow(placed++,
-                             points.row(rng.below(points.rows())));
+            centroids.setRow(placed++, points.row(rng.below(n)));
             continue;
         }
         double u = rng.uniform() * total;
         double acc = 0.0;
-        std::size_t pick = points.rows() - 1;
-        for (std::size_t i = 0; i < points.rows(); ++i) {
-            acc += d2[i];
+        std::size_t pick = n - 1;
+        for (std::size_t i = 0; i < n; ++i) {
+            acc += sa.d2[i];
             if (acc >= u) {
                 pick = i;
                 break;
@@ -263,6 +310,8 @@ seedCentroids(const DenseMatrix &points, u32 k, Rng &rng, bool accel,
         }
         centroids.setRow(placed++, points.row(pick));
     }
+    if (accel)
+        absorb(k - 1);
     return centroids;
 }
 
@@ -358,7 +407,9 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters,
     Rng rng(seed, 0x63a5ULL);
     KMeansResult res;
     res.k = k;
-    res.centroids = seedCentroids(points, k, rng, accel, stats);
+    SeedAssignment seeded;
+    res.centroids =
+        seedCentroids(points, k, rng, accel, seeded, stats);
     res.assignment.assign(n, 0);
     res.clusterSize.assign(k, 0);
 
@@ -382,8 +433,13 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters,
 
     for (int iter = 0; iter < maxIters; ++iter) {
         // Conservative inter-centroid half-distances for this
-        // iteration's centroids, shared by every chunk below.
-        NearestCentroids geo(res.centroids, kernel, &stats);
+        // iteration's centroids, shared by every chunk below.  The
+        // pruned first pass reads seeding's assignment and needs
+        // none.
+        NearestCentroids geo(res.centroids,
+                             iter > 0 ? kernel
+                                      : DistanceKernel::BruteForce,
+                             &stats);
 
         // Assignment pass: each chunk accumulates private partial
         // sums; res.assignment and lb are written index-wise, so
@@ -427,15 +483,14 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters,
                             lb[i] = lowerBoundFromSecond(second2);
                         }
                     } else if (accel) {
-                        // First iteration: no carried bounds yet;
-                        // full (still second-pruned) scan seeds them.
-                        scanPoint(p, dim, res.centroids, &geo,
-                                  kNoCached, 0.0, best, bestC,
-                                  second2, a.stats);
-                        lb[i] = lowerBoundFromSecond(second2);
+                        // First iteration: seeding already found the
+                        // nearest seed and a runner-up bound.
+                        best = seeded.d2[i];
+                        bestC = seeded.bestIdx[i];
+                        lb[i] = lowerBoundFromSecond(seeded.runner2[i]);
                     } else {
                         scanPoint(p, dim, res.centroids, nullptr,
-                                  kNoCached, 0.0, best, bestC,
+                                  kNoStart, 0.0, best, bestC,
                                   second2, a.stats);
                     }
                     if (res.assignment[i] != bestC) {
@@ -482,7 +537,14 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters,
                 cent[d] =
                     s[d] / static_cast<double>(res.clusterSize[c]);
         }
-        if (accel) {
+        res.iterations = iter + 1;
+        if (!changed) {
+            res.converged = true;
+            break;
+        }
+
+        // The drift only decays the next pass's bounds.
+        if (accel && iter + 1 < maxIters) {
             maxDrift = maxDrift2 = 0.0;
             maxDriftC = 0;
             for (u32 c = 0; c < k; ++c) {
@@ -499,12 +561,6 @@ kmeansFit(const DenseMatrix &points, u32 k, u64 seed, int maxIters,
                     maxDrift2 = dr;
                 }
             }
-        }
-
-        res.iterations = iter + 1;
-        if (!changed) {
-            res.converged = true;
-            break;
         }
     }
     iters.add(res.iterations);

@@ -14,20 +14,24 @@
  * Lloyd iterations keep Hamerly-style per-point bounds — an upper
  * bound on the distance to the assigned centroid and a single lower
  * bound on the second-closest — maintained across iterations via
- * per-centroid drift, and the fixed-centroid scans (whole-run slice
- * assignment, k-means++ d2 maintenance) prune candidates through
- * inter-centroid half-distances.  The contract is *exact equality*,
- * not approximation: a centroid is skipped only when conservative
- * bound arithmetic (lower bounds deflated, upper bounds inflated by
- * a relative margin that dwarfs the distance kernel's rounding
- * error) proves the brute-force scan's strict-`<` comparison could
- * not have selected it; whenever bounds are inconclusive the code
- * falls back to the exact scan.  Assignments, tie-breaks,
- * distortion, and centroid bytes are therefore bit-identical to the
- * brute-force path at any SPLAB_THREADS, and cached artifact bytes
- * never move (no version-salt bump).  Work is tallied in the
- * deterministic counters kmeans.distances_computed /
- * kmeans.distances_pruned / kmeans.bound_fallbacks.
+ * per-centroid drift; the k-means++ d2 maintenance and the
+ * fixed-centroid whole-run slice assignment prune candidates through
+ * inter-centroid distances.  No distance is computed twice: seeding
+ * folds in the last seed too, so Lloyd's first pass takes each
+ * point's nearest seed and a runner-up bound from it without a scan,
+ * and a point whose bound test fails rescans starting from its
+ * incumbent.  The contract is *exact equality*, not approximation: a
+ * centroid is skipped only when conservative bound arithmetic (lower
+ * bounds deflated, upper bounds inflated by a relative margin that
+ * dwarfs the distance kernel's rounding error) proves it cannot be
+ * the brute-force scan's answer, the (distance, index) minimum;
+ * whenever bounds are inconclusive the code falls back to the exact
+ * scan.  Assignments, tie-breaks, distortion, and centroid bytes are
+ * therefore bit-identical to the brute-force path at any
+ * SPLAB_THREADS, and cached artifact bytes never move (no
+ * version-salt bump).  Work is tallied in the deterministic counters
+ * kmeans.distances_computed / kmeans.distances_pruned /
+ * kmeans.bound_fallbacks.
  */
 
 #ifndef SPLAB_SIMPOINT_KMEANS_HH
@@ -94,8 +98,9 @@ void accountDistanceKernel(const DistanceKernelStats &s);
 
 /**
  * Pruned nearest-centroid search over a FIXED centroid set (the
- * whole-run slice assignment of SimPoint finalize, k-means++ seeding
- * maintenance).  Construction precomputes conservative lower bounds
+ * whole-run slice assignment of SimPoint finalize; its half-distance
+ * table also serves the Lloyd fallback scans).  Construction
+ * precomputes conservative lower bounds
  * on half the inter-centroid distances; nearest() then skips a
  * candidate c only when half the distance from the current best
  * centroid to c provably exceeds the distance to the current best —

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 
 #include "support/env.hh"
 #include "support/logging.hh"
@@ -70,10 +71,14 @@ suiteEntry(const std::string &name)
     SPLAB_FATAL("unknown benchmark: ", name);
 }
 
-int
-coverageCount(std::vector<double> weights, double quantile)
+namespace
 {
-    std::sort(weights.begin(), weights.end(), std::greater<>());
+
+/** coverageCount of weights already sorted non-increasing. */
+int
+sortedCoverageCount(const std::vector<double> &weights,
+                    double quantile)
+{
     double total = 0.0;
     for (double w : weights)
         total += w;
@@ -90,17 +95,14 @@ coverageCount(std::vector<double> weights, double quantile)
     return n;
 }
 
-namespace
+/** Overwrite @p w (n entries) with the floored, normalized geometric
+ *  weight vector of ratio @p r; non-increasing for r in (0, 1]. */
+std::vector<double> &
+flooredGeometric(std::vector<double> &w, double r, double floor)
 {
-
-/** Floored, normalized geometric weight vector with ratio @p r. */
-std::vector<double>
-flooredGeometric(int n, double r, double floor)
-{
-    std::vector<double> w(n);
     double x = 1.0, s = 0.0;
-    for (int i = 0; i < n; ++i) {
-        w[i] = x;
+    for (auto &v : w) {
+        v = x;
         s += x;
         x *= r;
     }
@@ -119,6 +121,13 @@ flooredGeometric(int n, double r, double floor)
 }
 
 } // namespace
+
+int
+coverageCount(std::vector<double> weights, double quantile)
+{
+    std::sort(weights.begin(), weights.end(), std::greater<>());
+    return sortedCoverageCount(weights, quantile);
+}
 
 std::vector<double>
 designWeights(int n, int m90, double floor)
@@ -140,18 +149,20 @@ designWeights(int n, int m90, double floor)
     // coverageCount is nondecreasing in r.  Find the admissible
     // interval of ratios producing exactly m90 and take its middle,
     // so small clustering perturbations do not flip the count.
+    // Every probe refills one buffer, whose weights come out sorted.
+    std::vector<double> w(n);
     auto m90Of = [&](double r) {
-        return coverageCount(flooredGeometric(n, r, floor), 0.9);
+        return sortedCoverageCount(flooredGeometric(w, r, floor), 0.9);
     };
 
     double loBound = 0.02, hiBound = 0.99999;
     if (m90Of(hiBound) < m90) {
         SPLAB_WARN("designWeights(", n, ", ", m90,
                    "): target unreachable; using uniform");
-        return flooredGeometric(n, 1.0, floor);
+        return std::move(flooredGeometric(w, 1.0, floor));
     }
     if (m90Of(loBound) > m90)
-        return flooredGeometric(n, loBound, floor);
+        return std::move(flooredGeometric(w, loBound, floor));
 
     // Smallest r with coverage >= m90.
     double lo = loBound, hi = hiBound;
@@ -177,7 +188,7 @@ designWeights(int n, int m90, double floor)
     double r = 0.5 * (rLo + rHi);
     if (m90Of(r) != m90)
         r = rLo; // plateau may be tiny; fall back to its left edge
-    return flooredGeometric(n, r, floor);
+    return std::move(flooredGeometric(w, r, floor));
 }
 
 namespace

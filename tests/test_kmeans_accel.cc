@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 
+#include "core/artifact_graph.hh"
 #include "core/pipeline.hh"
 #include "obs/counters.hh"
 #include "simpoint/simpoint.hh"
@@ -28,6 +30,13 @@ namespace splab
 {
 namespace
 {
+
+// The suite-level pin below resolves benchmarks through
+// benchmarkByName, which bakes SPLAB_SCALE in on first use.
+[[maybe_unused]] const bool kScaleSet = [] {
+    setenv("SPLAB_SCALE", "0.05", 1);
+    return true;
+}();
 
 /** Scoped global-pool resize; restores the environment default. */
 class ThreadsGuard
@@ -103,6 +112,59 @@ kernelDeltas(Fn &&body)
     return {c.value() - c0, p.value() - p0, f.value() - f0};
 }
 
+using Points = std::vector<std::vector<double>>;
+
+/** One fit configuration of the brute-vs-pruned comparisons. */
+struct FitCase
+{
+    const Points *pts;
+    u32 k;
+    u64 seed;
+    int maxIters;
+};
+
+/** Pruned fits of every case at 1, 2 and 8 threads must equal the
+ *  brute fit. */
+void
+expectPrunedMatchesBrute(const std::vector<FitCase> &cases)
+{
+    std::vector<KMeansResult> brute;
+    for (const FitCase &c : cases)
+        brute.push_back(kmeansFit(*c.pts, c.k, c.seed, c.maxIters,
+                                  DistanceKernel::BruteForce));
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        ThreadsGuard tg(threads);
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            const FitCase &c = cases[i];
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " n=" + std::to_string(c.pts->size()) +
+                         " k=" + std::to_string(c.k) +
+                         " seed=" + std::to_string(c.seed) +
+                         " maxIters=" + std::to_string(c.maxIters));
+            expectBitIdentical(brute[i], kmeansFit(*c.pts, c.k, c.seed,
+                                                   c.maxIters));
+        }
+    }
+}
+
+/** Integer lattice of side @p side in @p dim (1 or 2) dimensions,
+ *  @p reps coincident copies of each point. */
+Points
+lattice(int side, int dim, int reps)
+{
+    Points pts;
+    for (int rep = 0; rep < reps; ++rep)
+        for (int x = 0; x < side; ++x) {
+            if (dim == 1) {
+                pts.push_back({double(x)});
+                continue;
+            }
+            for (int y = 0; y < side; ++y)
+                pts.push_back({double(x), double(y)});
+        }
+    return pts;
+}
+
 TEST(KMeansAccel, FitBitIdenticalToBruteAcrossK)
 {
     auto pts = gaussianBlobs(6, 60, 0.4, 11);
@@ -126,22 +188,20 @@ TEST(KMeansAccel, BestOfBitIdentical)
 
 TEST(KMeansAccel, DuplicatePointsAndTiesBitIdentical)
 {
-    // Worst case for tie-breaking: many exactly coincident points
-    // and a symmetric grid where several centroids end up exactly
-    // equidistant from a point.  The brute scan resolves every tie
-    // by lowest index; pruning must never change that.
-    std::vector<std::vector<double>> pts;
-    for (int rep = 0; rep < 20; ++rep)
-        for (double x : {-1.0, 0.0, 1.0})
-            for (double y : {-1.0, 0.0, 1.0})
-                pts.push_back({x, y});
-    for (u32 k : {2u, 3u, 4u, 9u}) {
-        KMeansResult brute =
-            kmeansFit(pts, k, 1, 40, DistanceKernel::BruteForce);
-        KMeansResult accel = kmeansFit(pts, k, 1);
-        SCOPED_TRACE("k=" + std::to_string(k));
-        expectBitIdentical(brute, accel);
-    }
+    // Worst case for tie-breaking: many exactly coincident points on
+    // integer lattices, where centroids land exactly equidistant from
+    // points all the time, often with the incumbent at the higher
+    // index.  The brute scan resolves every tie by lowest index;
+    // pruning and incumbent-first scans must never change that.
+    const Points grids[] = {lattice(3, 2, 20), lattice(12, 1, 3),
+                            lattice(4, 2, 1), lattice(6, 2, 1)};
+    std::vector<FitCase> cases;
+    for (const Points &pts : grids)
+        for (u64 seed = 1; seed <= 16; ++seed)
+            for (u32 k : {2u, 3u, 4u, 5u, 6u, 9u})
+                for (int maxIters : {1, 40})
+                    cases.push_back({&pts, k, seed, maxIters});
+    expectPrunedMatchesBrute(cases);
 }
 
 TEST(KMeansAccel, PruningEngagesAndSavesWork)
@@ -201,6 +261,64 @@ TEST(KMeansAccel, CountersThreadCountInvariant)
         EXPECT_EQ(d.computed, refDeltas.computed);
         EXPECT_EQ(d.pruned, refDeltas.pruned);
         EXPECT_EQ(d.fallbacks, refDeltas.fallbacks);
+    }
+}
+
+TEST(KMeansAccel, FirstPassFromSeedingBitIdentical)
+{
+    // One Lloyd pass is served from seeding's nearest-seed state
+    // alone: assignment, distortion and centroid update must match
+    // the brute scan over the seeds, up to k == n.
+    Points pts = gaussianBlobs(6, 40, 0.4, 13);
+    const u32 n = static_cast<u32>(pts.size());
+    std::vector<FitCase> cases;
+    for (u32 k : {1u, 2u, 5u, 16u, n})
+        cases.push_back({&pts, k, 7, 1});
+    expectPrunedMatchesBrute(cases);
+}
+
+TEST(KMeansAccel, CoincidentPointsBitIdentical)
+{
+    // Every point equal: seeding's sampling total is 0 after the
+    // first seed, so the remaining seeds are duplicate pads and all
+    // clusters but the first come back empty.
+    Points pts(50, {0.5, -2.0, 3.25});
+    std::vector<FitCase> cases;
+    for (u32 k : {1u, 2u, 3u, 8u})
+        for (int maxIters : {1, 40})
+            cases.push_back({&pts, k, 3, maxIters});
+    expectPrunedMatchesBrute(cases);
+}
+
+TEST(KMeansAccel, UniformLineBitIdentical)
+{
+    // Uniform points on a line sit on every Voronoi boundary, where
+    // seeding's runner-up bound D(best, s) - d(p, best) is tight: a
+    // bound that overstates it keeps an incumbent that lost.
+    Rng rng(18);
+    Points pts;
+    for (int i = 0; i < 1500; ++i)
+        pts.push_back({rng.uniform()});
+    std::vector<FitCase> cases;
+    for (u64 seed = 1; seed <= 8; ++seed)
+        for (u32 k : {2u, 3u, 5u, 8u})
+            cases.push_back({&pts, k, seed, 40});
+    expectPrunedMatchesBrute(cases);
+}
+
+TEST(KMeansAccel, FirstPassReusesSeedingDistances)
+{
+    // Seeding computes at most one distance per point and seed plus
+    // one per seed pair; a one-pass fit must add nothing to that.
+    auto pts = gaussianBlobs(8, 50, 0.3, 17);
+    const u64 n = pts.size();
+    for (u64 k : {1u, 2u, 5u, 16u, 40u}) {
+        KernelDeltas d = kernelDeltas([&] {
+            kmeansFit(pts, static_cast<u32>(k), 5, 1,
+                      DistanceKernel::Pruned);
+        });
+        SCOPED_TRACE("k=" + std::to_string(k));
+        EXPECT_LE(d.computed, k * n + k * (k - 1) / 2);
     }
 }
 
@@ -313,6 +431,38 @@ TEST(SimPointAccel, PipelinePruningEngages)
         kernelDeltas([&] { pickSimPoints(bbvs, cfg); });
     EXPECT_GT(d.pruned, 0u);
     EXPECT_GT(d.computed, 0u);
+}
+
+TEST(SimPointAccel, SuiteSelectionBytesPinned)
+{
+    // Selection bytes of two suite benchmarks at SPLAB_SCALE=0.05,
+    // hashed and pinned at the Fig. 3 MaxK extremes: a change to the
+    // clustering kernels that moves any selection byte fails here.
+    ArtifactGraph g(ExperimentConfig::paperDefaults(),
+                    std::make_shared<const ArtifactCache>(
+                        ArtifactCache("")));
+    const struct
+    {
+        const char *bench;
+        u32 maxK;
+        u64 hash;
+    } pins[] = {
+        {"505.mcf_r", 15, 0xa30f31ee3aaca7aeULL},
+        {"505.mcf_r", 35, 0xc9a575f36082fc0aULL},
+        {"503.bwaves_r", 15, 0x63cac1671c9659b3ULL},
+        {"503.bwaves_r", 35, 0x8d092f0acd6f22ebULL},
+    };
+    for (const auto &pin : pins) {
+        SimPointConfig cfg = ExperimentConfig::paperDefaults().simpoint;
+        cfg.maxK = pin.maxK;
+        const std::vector<FrequencyVector> &bbvs =
+            g.bbvProfile(pin.bench);
+        std::vector<u8> bytes = selectionBytes(bbvs, cfg);
+        EXPECT_EQ(hashBytes(bytes.data(), bytes.size()), pin.hash)
+            << pin.bench << " (" << bbvs.size()
+            << " slices) maxK=" << pin.maxK << std::hex << ": got 0x"
+            << hashBytes(bytes.data(), bytes.size());
+    }
 }
 
 TEST(KMeansResult, AvgClusterVarianceBoundaries)
